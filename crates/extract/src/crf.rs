@@ -57,35 +57,25 @@ pub struct Example {
     pub labels: Vec<LabelId>,
 }
 
-/// Reusable per-sentence buffers for [`Crf::sgd_step`]. Allocated once per
-/// training run and resized (never reallocated, after the longest sentence)
-/// for each example, instead of four fresh `Vec`s per sentence per epoch.
+/// Reusable per-sentence buffers for the scoring kernels. Training keeps
+/// one for the whole run, so after the longest sentence nothing is
+/// reallocated; decode makes one per sentence.
 #[derive(Default)]
-struct SgdScratch {
+struct Lattice {
     /// Emission scores, `t_len × n_labels`.
     scores: Vec<f64>,
     /// Forward log-messages, `t_len × n_labels`.
     alpha: Vec<f64>,
     /// Backward log-messages, `t_len × n_labels`.
     beta: Vec<f64>,
-    /// One row of incoming terms for `logsumexp`, `n_labels`.
+    /// One row of `n_labels` terms: `logsumexp` input in forward–backward,
+    /// a token's marginals in the gradient.
     buf: Vec<f64>,
 }
 
-impl SgdScratch {
-    /// Size the buffers for a sentence of `t_len` tokens, refilling the
-    /// initial values `sgd_step` assumes (zeros / `-inf`).
-    fn reset(&mut self, t_len: usize, n_labels: usize) {
-        self.scores.clear();
-        self.scores.resize(t_len * n_labels, 0.0);
-        self.alpha.clear();
-        self.alpha.resize(t_len * n_labels, f64::NEG_INFINITY);
-        self.beta.clear();
-        self.beta.resize(t_len * n_labels, 0.0);
-        self.buf.clear();
-        self.buf.resize(n_labels, 0.0);
-    }
-}
+/// A log-probability whose `exp` is clearly below the 1e-8 gradient cut-off
+/// (`ln 1e-8 ≈ -18.42`), so the update can be skipped without computing it.
+const LOG_PROB_FLOOR: f64 = -18.5;
 
 fn logsumexp(xs: &[f64]) -> f64 {
     let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -93,6 +83,109 @@ fn logsumexp(xs: &[f64]) -> f64 {
         return m;
     }
     m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
+}
+
+/// Emission scores `scores[t·n + l] = Σ_{f ∈ feats[t]} emit[f·n + l]`,
+/// summed in feature order. The one scoring loop behind training, Viterbi
+/// and forward–backward.
+pub(crate) fn emission_scores(emit: &[f64], n: usize, feats: &[Vec<u32>], scores: &mut Vec<f64>) {
+    scores.clear();
+    scores.resize(feats.len() * n, 0.0);
+    for (row_out, fs) in scores.chunks_exact_mut(n).zip(feats) {
+        for &f in fs {
+            let row = &emit[f as usize * n..][..n];
+            for (s, &w) in row_out.iter_mut().zip(row) {
+                *s += w;
+            }
+        }
+    }
+}
+
+/// Log-space forward–backward over emission `scores` (`t_len ≥ 1` rows):
+/// fills `alpha` and `beta` and returns `log Z`.
+fn forward_backward(trans: &[f64], n: usize, lattice: &mut Lattice) -> f64 {
+    let Lattice {
+        scores,
+        alpha,
+        beta,
+        buf,
+    } = lattice;
+    let t_len = scores.len() / n;
+    alpha.clear();
+    alpha.resize(t_len * n, f64::NEG_INFINITY);
+    beta.clear();
+    beta.resize(t_len * n, 0.0);
+    buf.clear();
+    buf.resize(n, 0.0);
+    alpha[..n].copy_from_slice(&scores[..n]);
+    for t in 1..t_len {
+        for l in 0..n {
+            for (p, slot) in buf.iter_mut().enumerate() {
+                *slot = alpha[(t - 1) * n + p] + trans[p * n + l];
+            }
+            alpha[t * n + l] = logsumexp(buf) + scores[t * n + l];
+        }
+    }
+    for t in (0..t_len - 1).rev() {
+        for l in 0..n {
+            for (q, slot) in buf.iter_mut().enumerate() {
+                *slot = trans[l * n + q] + scores[(t + 1) * n + q] + beta[(t + 1) * n + q];
+            }
+            beta[t * n + l] = logsumexp(buf);
+        }
+    }
+    logsumexp(&alpha[(t_len - 1) * n..])
+}
+
+/// BIO-constrained Viterbi over emission `scores` (`t_len × n` rows).
+///
+/// Only a label's allowed predecessors are scanned, in ascending order, and
+/// a later predecessor wins only on a strictly greater score, so ties go to
+/// the lowest id. At the last token the highest-id label wins a tie.
+pub(crate) fn viterbi(labels: &LabelSet, trans: &[f64], scores: &[f64]) -> Vec<LabelId> {
+    let n = labels.len();
+    let t_len = scores.len() / n;
+    if t_len == 0 {
+        return Vec::new();
+    }
+    let mut delta = vec![f64::NEG_INFINITY; t_len * n];
+    let mut back = vec![0 as LabelId; t_len * n];
+    for l in 0..n {
+        // At t=0 only non-inside labels are valid starts.
+        if !labels.is_inside(l as LabelId) {
+            delta[l] = scores[l];
+        }
+    }
+    for t in 1..t_len {
+        for l in 0..n {
+            let mut best = f64::NEG_INFINITY;
+            let mut arg: LabelId = 0;
+            for &p in labels.predecessors(l as LabelId) {
+                let v = delta[(t - 1) * n + p as usize] + trans[p as usize * n + l];
+                if v > best {
+                    best = v;
+                    arg = p;
+                }
+            }
+            delta[t * n + l] = best + scores[t * n + l];
+            back[t * n + l] = arg;
+        }
+    }
+    let mut last = (0..n)
+        .max_by(|&a, &b| {
+            delta[(t_len - 1) * n + a]
+                .partial_cmp(&delta[(t_len - 1) * n + b])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .unwrap_or(0) as LabelId;
+    let mut path = vec![0 as LabelId; t_len];
+    for t in (0..t_len).rev() {
+        path[t] = last;
+        if t > 0 {
+            last = back[t * n + last as usize];
+        }
+    }
+    path
 }
 
 impl Crf {
@@ -124,7 +217,7 @@ impl Crf {
             z ^ (z >> 31)
         };
 
-        let mut scratch = SgdScratch::default();
+        let mut lattice = Lattice::default();
         for _epoch in 0..config.epochs {
             // Fisher–Yates with the deterministic stream.
             for i in (1..order.len()).rev() {
@@ -144,7 +237,7 @@ impl Crf {
                     &mut emit_g2,
                     &mut trans_g2,
                     config.lr,
-                    &mut scratch,
+                    &mut lattice,
                 );
             }
             if config.l2 > 0.0 {
@@ -173,48 +266,17 @@ impl Crf {
         emit_g2: &mut [f64],
         trans_g2: &mut [f64],
         lr: f64,
-        scratch: &mut SgdScratch,
+        lattice: &mut Lattice,
     ) {
         let t_len = ex.features.len();
-        scratch.reset(t_len, n_labels);
-        let SgdScratch {
+        emission_scores(emit, n_labels, &ex.features, &mut lattice.scores);
+        let log_z = forward_backward(trans, n_labels, lattice);
+        let Lattice {
             scores,
             alpha,
             beta,
-            buf,
-        } = scratch;
-        // Emission scores per position.
-        for (t, feats) in ex.features.iter().enumerate() {
-            for &f in feats {
-                let row = f as usize * n_labels;
-                for l in 0..n_labels {
-                    scores[t * n_labels + l] += emit[row + l];
-                }
-            }
-        }
-
-        // Forward (log alpha).
-        alpha[..n_labels].copy_from_slice(&scores[..n_labels]);
-        for t in 1..t_len {
-            for l in 0..n_labels {
-                for (p, slot) in buf.iter_mut().enumerate() {
-                    *slot = alpha[(t - 1) * n_labels + p] + trans[p * n_labels + l];
-                }
-                alpha[t * n_labels + l] = logsumexp(buf) + scores[t * n_labels + l];
-            }
-        }
-        // Backward (log beta).
-        for t in (0..t_len - 1).rev() {
-            for l in 0..n_labels {
-                for (q, slot) in buf.iter_mut().enumerate() {
-                    *slot = trans[l * n_labels + q]
-                        + scores[(t + 1) * n_labels + q]
-                        + beta[(t + 1) * n_labels + q];
-                }
-                beta[t * n_labels + l] = logsumexp(buf);
-            }
-        }
-        let log_z = logsumexp(&alpha[(t_len - 1) * n_labels..]);
+            buf: marginal,
+        } = lattice;
 
         // Gradient = observed − expected; apply AdaGrad immediately.
         let upd_emit = |idx: usize, g: f64, emit: &mut [f64], g2: &mut [f64]| {
@@ -223,13 +285,16 @@ impl Crf {
         };
         for t in 0..t_len {
             let gold = ex.labels[t] as usize;
+            // Token marginals; the emission updates below cannot change them.
+            for (l, p) in marginal.iter_mut().enumerate() {
+                *p = (alpha[t * n_labels + l] + beta[t * n_labels + l] - log_z).exp();
+            }
             for &f in &ex.features[t] {
                 let row = f as usize * n_labels;
                 // Observed.
                 upd_emit(row + gold, 1.0, emit, emit_g2);
                 // Expected.
-                for l in 0..n_labels {
-                    let p = (alpha[t * n_labels + l] + beta[t * n_labels + l] - log_z).exp();
+                for (l, &p) in marginal.iter().enumerate() {
                     if p > 1e-8 {
                         upd_emit(row + l, -p, emit, emit_g2);
                     }
@@ -249,6 +314,11 @@ impl Crf {
                         + scores[t * n_labels + q]
                         + beta[t * n_labels + q]
                         - log_z;
+                    // Below this, `exp` is under 1e-8 and the update is skipped
+                    // anyway; most pairs are, so this saves most of the `exp`s.
+                    if lp < LOG_PROB_FLOOR {
+                        continue;
+                    }
                     let prob = lp.exp();
                     if prob > 1e-8 {
                         let idx = p * n_labels + q;
@@ -268,103 +338,25 @@ impl Crf {
 
     /// Viterbi over pre-extracted feature ids.
     pub fn decode_features(&self, feats: &[Vec<u32>]) -> Vec<LabelId> {
-        let t_len = feats.len();
-        if t_len == 0 {
-            return Vec::new();
-        }
-        let n = self.n_labels;
-        let mut scores = vec![0f64; t_len * n];
-        for (t, fs) in feats.iter().enumerate() {
-            for &f in fs {
-                let row = f as usize * n;
-                for l in 0..n {
-                    scores[t * n + l] += self.emit[row + l];
-                }
-            }
-        }
-        let mut delta = vec![f64::NEG_INFINITY; t_len * n];
-        let mut back = vec![0usize; t_len * n];
-        for l in 0..n {
-            // At t=0 only non-inside labels are valid starts.
-            if !self.labels.is_inside(l as LabelId) {
-                delta[l] = scores[l];
-            }
-        }
-        for t in 1..t_len {
-            for l in 0..n {
-                let mut best = f64::NEG_INFINITY;
-                let mut arg = 0usize;
-                for p in 0..n {
-                    if !self.labels.may_follow(p as LabelId, l as LabelId) {
-                        continue;
-                    }
-                    let v = delta[(t - 1) * n + p] + self.trans[p * n + l];
-                    if v > best {
-                        best = v;
-                        arg = p;
-                    }
-                }
-                delta[t * n + l] = best + scores[t * n + l];
-                back[t * n + l] = arg;
-            }
-        }
-        let mut last = (0..n)
-            .max_by(|&a, &b| {
-                delta[(t_len - 1) * n + a]
-                    .partial_cmp(&delta[(t_len - 1) * n + b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .unwrap_or(0);
-        let mut path = vec![0 as LabelId; t_len];
-        for t in (0..t_len).rev() {
-            path[t] = last as LabelId;
-            if t > 0 {
-                last = back[t * n + last];
-            }
-        }
-        path
+        let mut scores = Vec::new();
+        emission_scores(&self.emit, self.n_labels, feats, &mut scores);
+        viterbi(&self.labels, &self.trans, &scores)
     }
 
     /// Viterbi decode plus per-token posterior marginals of the decoded
     /// labels, `P(y_t = ŷ_t | x)`, from forward–backward. The marginal is
     /// the calibrated confidence the NER layer attaches to each mention.
+    /// The emission scores are computed once and shared by both passes.
     pub fn decode_with_marginals(&self, feats: &[Vec<u32>]) -> (Vec<LabelId>, Vec<f64>) {
-        let path = self.decode_features(feats);
-        let t_len = feats.len();
-        if t_len == 0 {
+        let n = self.n_labels;
+        let mut lattice = Lattice::default();
+        emission_scores(&self.emit, n, feats, &mut lattice.scores);
+        let path = viterbi(&self.labels, &self.trans, &lattice.scores);
+        if path.is_empty() {
             return (path, Vec::new());
         }
-        let n = self.n_labels;
-        let mut scores = vec![0f64; t_len * n];
-        for (t, fs) in feats.iter().enumerate() {
-            for &f in fs {
-                let row = f as usize * n;
-                for l in 0..n {
-                    scores[t * n + l] += self.emit[row + l];
-                }
-            }
-        }
-        let mut alpha = vec![f64::NEG_INFINITY; t_len * n];
-        alpha[..n].copy_from_slice(&scores[..n]);
-        let mut buf = vec![0f64; n];
-        for t in 1..t_len {
-            for l in 0..n {
-                for (p, slot) in buf.iter_mut().enumerate() {
-                    *slot = alpha[(t - 1) * n + p] + self.trans[p * n + l];
-                }
-                alpha[t * n + l] = logsumexp(&buf) + scores[t * n + l];
-            }
-        }
-        let mut beta = vec![0f64; t_len * n];
-        for t in (0..t_len - 1).rev() {
-            for l in 0..n {
-                for (q, slot) in buf.iter_mut().enumerate() {
-                    *slot = self.trans[l * n + q] + scores[(t + 1) * n + q] + beta[(t + 1) * n + q];
-                }
-                beta[t * n + l] = logsumexp(&buf);
-            }
-        }
-        let log_z = logsumexp(&alpha[(t_len - 1) * n..]);
+        let log_z = forward_backward(&self.trans, n, &mut lattice);
+        let Lattice { alpha, beta, .. } = &lattice;
         let marginals = path
             .iter()
             .enumerate()
@@ -508,6 +500,143 @@ mod tests {
         let tagger = PosTagger::standard();
         let sent = analyze("the vexbot family returned today.", &matcher, &tagger).remove(0);
         assert_eq!(a.decode(&featurizer, &sent), b.decode(&featurizer, &sent));
+    }
+
+    /// Viterbi as it was written before predecessor lists: every label
+    /// pair, filtered by `may_follow`, back-pointers as `usize`.
+    fn brute_force_viterbi(crf: &Crf, feats: &[Vec<u32>]) -> Vec<LabelId> {
+        let t_len = feats.len();
+        if t_len == 0 {
+            return Vec::new();
+        }
+        let n = crf.n_labels;
+        let mut scores = vec![0f64; t_len * n];
+        for (t, fs) in feats.iter().enumerate() {
+            for &f in fs {
+                let row = f as usize * n;
+                for l in 0..n {
+                    scores[t * n + l] += crf.emit[row + l];
+                }
+            }
+        }
+        let mut delta = vec![f64::NEG_INFINITY; t_len * n];
+        let mut back = vec![0usize; t_len * n];
+        for l in 0..n {
+            if !crf.labels.is_inside(l as LabelId) {
+                delta[l] = scores[l];
+            }
+        }
+        for t in 1..t_len {
+            for l in 0..n {
+                let mut best = f64::NEG_INFINITY;
+                let mut arg = 0usize;
+                for p in 0..n {
+                    if !crf.labels.may_follow(p as LabelId, l as LabelId) {
+                        continue;
+                    }
+                    let v = delta[(t - 1) * n + p] + crf.trans[p * n + l];
+                    if v > best {
+                        best = v;
+                        arg = p;
+                    }
+                }
+                delta[t * n + l] = best + scores[t * n + l];
+                back[t * n + l] = arg;
+            }
+        }
+        let mut last = (0..n)
+            .max_by(|&a, &b| {
+                delta[(t_len - 1) * n + a]
+                    .partial_cmp(&delta[(t_len - 1) * n + b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .unwrap_or(0);
+        let mut path = vec![0 as LabelId; t_len];
+        for t in (0..t_len).rev() {
+            path[t] = last as LabelId;
+            if t > 0 {
+                last = back[t * n + last];
+            }
+        }
+        path
+    }
+
+    /// Deterministic splitmix64 stream for the randomised tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A model with weights drawn from {-1, 0, 1}, so equal path scores are
+    /// common, plus random sentences over its features.
+    fn random_model_and_sentences(seed: u64) -> (Crf, Vec<Vec<Vec<u32>>>) {
+        let mut state = seed;
+        let labels = LabelSet::standard();
+        let n = labels.len();
+        let n_features = 12;
+        let mut weight = || (splitmix(&mut state) % 3) as f64 - 1.0;
+        let emit = (0..n_features * n).map(|_| weight()).collect();
+        let trans = (0..n * n).map(|_| weight()).collect();
+        let crf = Crf {
+            labels,
+            features: FeatureMap::default(),
+            emit,
+            trans,
+            n_labels: n,
+        };
+        let sentences = (0..40)
+            .map(|_| {
+                let t_len = (splitmix(&mut state) % 9) as usize;
+                (0..t_len)
+                    .map(|_| {
+                        let k = (splitmix(&mut state) % 4) as usize;
+                        (0..k)
+                            .map(|_| (splitmix(&mut state) % n_features as u64) as u32)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        (crf, sentences)
+    }
+
+    #[test]
+    fn predecessor_viterbi_equals_brute_force_under_ties() {
+        for seed in 0..25 {
+            let (crf, sentences) = random_model_and_sentences(seed);
+            for feats in &sentences {
+                assert_eq!(
+                    crf.decode_features(feats),
+                    brute_force_viterbi(&crf, feats),
+                    "seed {seed}: {feats:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_features_equals_marginal_decode_path() {
+        for seed in 0..25 {
+            let (crf, sentences) = random_model_and_sentences(seed);
+            for feats in &sentences {
+                assert_eq!(
+                    crf.decode_features(feats),
+                    crf.decode_with_marginals(feats).0,
+                    "seed {seed}: {feats:?}"
+                );
+            }
+        }
+        let (labels, map, examples, _) = toy_training();
+        let crf = Crf::train(labels, map, &examples, &CrfConfig::default());
+        for ex in &examples {
+            let (path, marginals) = crf.decode_with_marginals(&ex.features);
+            assert_eq!(crf.decode_features(&ex.features), path);
+            assert_eq!(brute_force_viterbi(&crf, &ex.features), path);
+            assert_eq!(marginals.len(), path.len());
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use kg_nlp::{AnalyzedSentence, KMeans, TokenKind};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 
 /// Which feature families to emit (ablation switches for E3).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -227,62 +228,78 @@ impl Featurizer {
         }
     }
 
-    /// Emit feature strings for every position of a sentence.
-    pub fn features(&self, sentence: &AnalyzedSentence) -> Vec<Vec<String>> {
+    /// Generate every feature of a sentence, token by token, as
+    /// `sink(position, feature)`. Each feature string is written into one
+    /// reused buffer, so generation allocates nothing per feature. Training
+    /// ([`Self::features_interned`]), decode ([`Self::features_lookup`]) and
+    /// [`Self::features`] all go through here, so they cannot drift apart.
+    pub(crate) fn emit(&self, sentence: &AnalyzedSentence, mut sink: impl FnMut(usize, &str)) {
         let n = sentence.tokens.len();
         let lower: Vec<String> = sentence
             .tokens
             .iter()
             .map(|t| t.text.to_lowercase())
             .collect();
-        let gaz_flags: Vec<(String, Vec<(bool, bool)>)> = if self.config.gazetteers {
+        let gaz_flags: Vec<(&str, Vec<(bool, bool)>)> = if self.config.gazetteers {
             self.gazetteers
                 .iter()
-                .map(|g| (g.name.clone(), g.match_tokens(&lower)))
+                .map(|g| (g.name.as_str(), g.match_tokens(&lower)))
                 .collect()
         } else {
             Vec::new()
         };
 
-        let mut out = Vec::with_capacity(n);
+        let mut buf = String::with_capacity(64);
         for i in 0..n {
-            let mut feats = Vec::with_capacity(24);
+            // Clear the buffer, format one feature of token `i` into it and
+            // hand it to the sink. Writing into a `String` cannot fail.
+            macro_rules! feature {
+                ($($arg:tt)*) => {{
+                    buf.clear();
+                    let _ = write!(buf, $($arg)*);
+                    sink(i, &buf);
+                }};
+            }
             let token = &sentence.tokens[i];
-            let word = &lower[i];
-            feats.push("bias".to_owned());
+            let word = lower[i].as_str();
+            sink(i, "bias");
 
             if self.config.lexical {
-                feats.push(format!("w={word}"));
+                feature!("w={word}");
             }
             if self.config.lemma {
-                feats.push(format!("lem={}", sentence.lemmas[i]));
+                feature!("lem={}", sentence.lemmas[i]);
             }
             if self.config.pos {
-                feats.push(format!("pos={}", sentence.tags[i].as_str()));
+                feature!("pos={}", sentence.tags[i].as_str());
             }
             if self.config.shape {
-                feats.push(format!("shape={}", shape(&token.text)));
+                buf.clear();
+                buf.push_str("shape=");
+                push_shape(&mut buf, &token.text);
+                sink(i, &buf);
                 if i == 0 {
-                    feats.push("bos".to_owned());
+                    sink(i, "bos");
                 }
                 if i + 1 == n {
-                    feats.push("eos".to_owned());
+                    sink(i, "eos");
                 }
             }
             if self.config.affixes && token.kind == TokenKind::Word {
-                let chars: Vec<char> = word.chars().collect();
                 for l in 2..=3 {
-                    if chars.len() > l {
-                        let p: String = chars[..l].iter().collect();
-                        let s: String = chars[chars.len() - l..].iter().collect();
-                        feats.push(format!("pre{l}={p}"));
-                        feats.push(format!("suf{l}={s}"));
+                    // Byte offsets of the first `l` and the last `l` chars;
+                    // both exist exactly when the word has more than `l`.
+                    let pre = word.char_indices().nth(l).map(|(b, _)| b);
+                    let suf = word.char_indices().nth_back(l - 1).map(|(b, _)| b);
+                    if let (Some(pre), Some(suf)) = (pre, suf) {
+                        feature!("pre{l}={}", &word[..pre]);
+                        feature!("suf{l}={}", &word[suf..]);
                     }
                 }
             }
             if self.config.ioc_class {
                 if let TokenKind::Ioc(kind) = token.kind {
-                    feats.push(format!("ioc={}", kind.tag_stem()));
+                    feature!("ioc={}", kind.tag_stem());
                 }
             }
             if self.config.context {
@@ -294,38 +311,43 @@ impl Featurizer {
                 ] {
                     match j {
                         Some(j) => {
-                            feats.push(format!("{name}w={}", lower[j]));
-                            feats.push(format!("{name}pos={}", sentence.tags[j].as_str()));
+                            feature!("{name}w={}", lower[j]);
+                            feature!("{name}pos={}", sentence.tags[j].as_str());
                         }
-                        None => feats.push(format!("{name}=∅")),
+                        None => feature!("{name}=∅"),
                     }
                 }
             }
             if self.config.clusters {
                 if let Some(km) = &self.clusters {
                     if let Some(c) = km.cluster_of(word) {
-                        feats.push(format!("clu={c}"));
+                        feature!("clu={c}");
                     }
                 }
             }
             for (name, flags) in &gaz_flags {
                 if flags[i].0 {
-                    feats.push(format!("gaz={name}"));
+                    feature!("gaz={name}");
                     if flags[i].1 {
-                        feats.push(format!("gazB={name}"));
+                        feature!("gazB={name}");
                     }
                 }
             }
             // POS tag bigram (cheap syntax signal).
             if self.config.pos && i > 0 {
-                feats.push(format!(
+                feature!(
                     "posbi={}|{}",
                     sentence.tags[i - 1].as_str(),
                     sentence.tags[i].as_str()
-                ));
+                );
             }
-            out.push(feats);
         }
+    }
+
+    /// Feature strings for every position of a sentence.
+    pub fn features(&self, sentence: &AnalyzedSentence) -> Vec<Vec<String>> {
+        let mut out = vec![Vec::new(); sentence.tokens.len()];
+        self.emit(sentence, |i, f| out[i].push(f.to_owned()));
         out
     }
 
@@ -335,18 +357,37 @@ impl Featurizer {
         sentence: &AnalyzedSentence,
         map: &mut FeatureMap,
     ) -> Vec<Vec<u32>> {
-        self.features(sentence)
-            .into_iter()
-            .map(|fs| fs.iter().map(|f| map.intern(f)).collect())
-            .collect()
+        self.feature_ids(sentence, |f| Some(map.intern(f)))
     }
 
     /// Emit and look up features; used at decode time (unknown → dropped).
     pub fn features_lookup(&self, sentence: &AnalyzedSentence, map: &FeatureMap) -> Vec<Vec<u32>> {
-        self.features(sentence)
-            .into_iter()
-            .map(|fs| fs.iter().filter_map(|f| map.get(f)).collect())
-            .collect()
+        self.feature_ids(sentence, |f| map.get(f))
+    }
+
+    /// Per-token feature ids from `id`, each token's list allocated once at
+    /// its exact length (training keeps them for the whole run).
+    fn feature_ids(
+        &self,
+        sentence: &AnalyzedSentence,
+        mut id: impl FnMut(&str) -> Option<u32>,
+    ) -> Vec<Vec<u32>> {
+        let n = sentence.tokens.len();
+        let mut out = Vec::with_capacity(n);
+        let mut row = Vec::new();
+        self.emit(sentence, |i, f| {
+            // Positions arrive in order: close the rows before `i`.
+            while out.len() < i {
+                out.push(row.clone());
+                row.clear();
+            }
+            row.extend(id(f));
+        });
+        while out.len() < n {
+            out.push(row.clone());
+            row.clear();
+        }
+        out
     }
 }
 
@@ -354,6 +395,12 @@ impl Featurizer {
 /// "WannaCry" → "Xx", "CVE-2017-0144" → "X-d-d", "10.0.0.1" → "d.d.d.d".
 pub fn shape(word: &str) -> String {
     let mut out = String::new();
+    push_shape(&mut out, word);
+    out
+}
+
+/// Append the [`shape`] of `word` to `out`.
+fn push_shape(out: &mut String, word: &str) {
     let mut last = '\0';
     for c in word.chars() {
         let s = if c.is_ascii_digit() {
@@ -370,7 +417,6 @@ pub fn shape(word: &str) -> String {
             last = s;
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -483,6 +529,96 @@ mod tests {
         assert_eq!(m.get("w=x"), Some(a));
         assert_eq!(m.get("w=z"), None);
         assert_eq!(m.len(), 2);
+    }
+
+    /// Every analysed sentence of a small generated corpus, and a featurizer
+    /// with every family on, including gazetteers and embedding clusters.
+    fn corpus_and_featurizer() -> (Vec<AnalyzedSentence>, Featurizer) {
+        use kg_corpus::{standard_sources, SimulatedWeb, World, WorldConfig};
+        use kg_nlp::{EmbeddingConfig, Embeddings, KMeans};
+        let web = SimulatedWeb::new(
+            World::generate(WorldConfig::tiny(3)),
+            standard_sources(4),
+            7,
+        );
+        let (matcher, tagger) = (IocMatcher::standard(), PosTagger::standard());
+        let mut sentences = Vec::new();
+        for source in web.sources() {
+            for index in 0..source.article_count {
+                if let Some(gold) = web.gold(&source.name, index) {
+                    sentences.extend(analyze(&gold.text, &matcher, &tagger));
+                }
+            }
+        }
+        let tokens: Vec<Vec<String>> = sentences
+            .iter()
+            .map(|s| s.tokens.iter().map(|t| t.text.to_lowercase()).collect())
+            .collect();
+        let embeddings = Embeddings::train(
+            &tokens,
+            &EmbeddingConfig {
+                epochs: 1,
+                ..EmbeddingConfig::default()
+            },
+        );
+        let lists = web.world().curated_lists(0.8, 1);
+        let mut f = Featurizer::new(FeatureConfig::default());
+        f.clusters = Some(KMeans::fit(&embeddings, 8, 5, 1));
+        f.gazetteers = vec![
+            Gazetteer::new("malware", lists.malware),
+            Gazetteer::new("actor", lists.actors),
+        ];
+        (sentences, f)
+    }
+
+    #[test]
+    fn lookup_and_interning_agree_with_feature_strings() {
+        let (sentences, f) = corpus_and_featurizer();
+        assert!(sentences.len() > 50, "{}", sentences.len());
+        // Intern the even sentences only, so lookups on the odd ones miss.
+        let mut map = FeatureMap::default();
+        for s in sentences.iter().step_by(2) {
+            let ids = f.features_interned(s, &mut map);
+            let expect: Vec<Vec<u32>> = f
+                .features(s)
+                .iter()
+                .map(|fs| fs.iter().map(|x| map.get(x).unwrap()).collect())
+                .collect();
+            assert_eq!(ids, expect);
+        }
+        let mut misses = 0;
+        for s in &sentences {
+            let strings = f.features(s);
+            let expect: Vec<Vec<u32>> = strings
+                .iter()
+                .map(|fs| fs.iter().filter_map(|x| map.get(x)).collect())
+                .collect();
+            misses += strings
+                .iter()
+                .flatten()
+                .filter(|x| map.get(x).is_none())
+                .count();
+            assert_eq!(f.features_lookup(s, &map), expect);
+        }
+        assert!(
+            misses > 0,
+            "the odd sentences must exercise unknown features"
+        );
+    }
+
+    #[test]
+    fn affixes_slice_whole_chars() {
+        let f = Featurizer::new(FeatureConfig::default());
+        let feats = f.features(&sentence("the émotèt ab abc spread."));
+        let has = |i: usize, x: &str| feats[i].iter().any(|y| y == x);
+        assert!(
+            has(1, "pre2=ém") && has(1, "suf3=tèt") && has(1, "pre3=émo"),
+            "{feats:?}"
+        );
+        // Two chars: no affixes; three chars: only the length-2 pair.
+        assert!(!feats[2].iter().any(|y| y.starts_with("pre")));
+        assert!(has(3, "pre2=ab") && has(3, "suf2=bc"));
+        assert!(!feats[3].iter().any(|y| y.starts_with("pre3")));
     }
 
     #[test]

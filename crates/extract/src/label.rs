@@ -7,6 +7,7 @@
 use kg_ontology::EntityKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Dense label id. `O` is always 0.
 pub type LabelId = u16;
@@ -20,6 +21,10 @@ pub struct LabelSet {
     kinds: Vec<Option<EntityKind>>,
     /// For each label: true if it is a `B-` label.
     begins: Vec<bool>,
+    /// For each label: the labels that may precede it, ascending. Derived
+    /// from `may_follow` on first use and never serialised.
+    #[serde(skip)]
+    predecessors: OnceLock<Vec<Vec<LabelId>>>,
 }
 
 impl LabelSet {
@@ -48,6 +53,7 @@ impl LabelSet {
             index,
             kinds,
             begins,
+            predecessors: OnceLock::new(),
         }
     }
 
@@ -115,6 +121,20 @@ impl LabelSet {
             return true;
         }
         self.kind_of(prev) == self.kind_of(next) && prev != Self::O
+    }
+
+    /// The labels `prev` with `may_follow(prev, next)`, in ascending order
+    /// (so a decoder scanning them keeps the first of equal scores). Built
+    /// once per label set: an `I-X` label has two predecessors, every other
+    /// label has all of them.
+    pub(crate) fn predecessors(&self, next: LabelId) -> &[LabelId] {
+        let lists = self.predecessors.get_or_init(|| {
+            let n = self.len() as LabelId;
+            (0..n)
+                .map(|next| (0..n).filter(|&p| self.may_follow(p, next)).collect())
+                .collect()
+        });
+        &lists[next as usize]
     }
 
     /// Convert a BIO label-id sequence into `(kind, start_token, end_token)`
@@ -206,6 +226,21 @@ mod tests {
         assert!(!ls.may_follow(b_mal, i_act));
         assert!(ls.may_follow(i_mal, LabelSet::O));
         assert!(ls.may_follow(LabelSet::O, b_mal));
+        assert_eq!(ls.predecessors(i_mal), &[b_mal, i_mal]);
+        assert_eq!(ls.predecessors(b_mal).len(), ls.len());
+    }
+
+    #[test]
+    fn predecessor_lists_survive_serde() {
+        let ls = LabelSet::standard();
+        let json = serde_json::to_string(&ls).unwrap();
+        let back: LabelSet = serde_json::from_str(&json).unwrap();
+        for next in 0..ls.len() as LabelId {
+            let expect: Vec<LabelId> = (0..ls.len() as LabelId)
+                .filter(|&p| ls.may_follow(p, next))
+                .collect();
+            assert_eq!(back.predecessors(next), expect.as_slice());
+        }
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub struct NerPipeline {
     pub ontology: Ontology,
     /// Spans whose minimum token marginal falls below this are dropped
     /// (0.0 keeps everything; the paper's config file exposes "threshold
-    /// values for entity recognition" — this is that knob).
+    /// values for entity recognition" — this is that knob). Forward–backward
+    /// runs only when the threshold is above 0 (or NaN); otherwise decode is
+    /// Viterbi alone.
     pub min_confidence: f64,
 }
 
@@ -57,39 +59,28 @@ impl NerPipeline {
                 let feats = self
                     .featurizer
                     .features_lookup(&sentence, self.crf.feature_map());
-                let (ids, marginals) = self.crf.decode_with_marginals(&feats);
+                // Marginals lie in [0, 1], so a threshold at or below 0 keeps
+                // every span and plain Viterbi suffices. A NaN threshold still
+                // takes the filter, which then drops every span.
+                let gated = self.min_confidence > 0.0 || self.min_confidence.is_nan();
+                let (ids, marginals) = if gated {
+                    self.crf.decode_with_marginals(&feats)
+                } else {
+                    (self.crf.decode_features(&feats), Vec::new())
+                };
                 let mut spans: Vec<EntitySpan> = self
                     .crf
                     .labels()
                     .decode_spans(&ids)
                     .into_iter()
                     .filter(|&(_, start, end)| {
-                        let confidence =
-                            marginals[start..end].iter().copied().fold(1.0f64, f64::min);
-                        confidence >= self.min_confidence
+                        !gated
+                            || marginals[start..end].iter().copied().fold(1.0f64, f64::min)
+                                >= self.min_confidence
                     })
                     .map(|(kind, start, end)| EntitySpan { kind, start, end })
                     .collect();
-                // The IOC scanner is authoritative for protected tokens: if
-                // the CRF missed one, add it; if the CRF mislabelled one,
-                // trust the scanner's class.
-                for (i, tok) in sentence.tokens.iter().enumerate() {
-                    if let TokenKind::Ioc(kind) = tok.kind {
-                        match spans.iter_mut().find(|s| i >= s.start && i < s.end) {
-                            Some(s) => {
-                                if s.start == i && s.end == i + 1 {
-                                    s.kind = kind;
-                                }
-                            }
-                            None => spans.push(EntitySpan {
-                                kind,
-                                start: i,
-                                end: i + 1,
-                            }),
-                        }
-                    }
-                }
-                spans.sort_by_key(|s| (s.start, s.end));
+                merge_ioc_spans(&sentence, &mut spans);
                 let relations = extract_relations(&sentence, &spans, &self.ontology);
                 SentenceExtraction {
                     sentence,
@@ -107,6 +98,29 @@ impl NerPipeline {
             .flat_map(|se| sentence_mentions(&se))
             .collect()
     }
+}
+
+/// The IOC scanner is authoritative for protected tokens: if the model
+/// missed one, add it; if the model mislabelled one, trust the scanner's
+/// class. Leaves `spans` sorted by token range.
+fn merge_ioc_spans(sentence: &AnalyzedSentence, spans: &mut Vec<EntitySpan>) {
+    for (i, tok) in sentence.tokens.iter().enumerate() {
+        if let TokenKind::Ioc(kind) = tok.kind {
+            match spans.iter_mut().find(|s| i >= s.start && i < s.end) {
+                Some(s) => {
+                    if s.start == i && s.end == i + 1 {
+                        s.kind = kind;
+                    }
+                }
+                None => spans.push(EntitySpan {
+                    kind,
+                    start: i,
+                    end: i + 1,
+                }),
+            }
+        }
+    }
+    spans.sort_by_key(|s| (s.start, s.end));
 }
 
 /// Convert one sentence's spans into byte-offset mentions.
@@ -334,6 +348,55 @@ mod tests {
             "{:?}",
             out[0].spans
         );
+    }
+
+    /// Spans per sentence as `extract` computed them when every decode ran
+    /// forward–backward and the filter always applied.
+    fn always_gated_spans(p: &NerPipeline, text: &str) -> Vec<Vec<EntitySpan>> {
+        analyze(text, &p.matcher, &p.tagger)
+            .into_iter()
+            .map(|sentence| {
+                let feats = p.featurizer.features_lookup(&sentence, p.crf.feature_map());
+                let (ids, marginals) = p.crf.decode_with_marginals(&feats);
+                let mut spans: Vec<EntitySpan> = p
+                    .crf
+                    .labels()
+                    .decode_spans(&ids)
+                    .into_iter()
+                    .filter(|&(_, start, end)| {
+                        let confidence =
+                            marginals[start..end].iter().copied().fold(1.0f64, f64::min);
+                        confidence >= p.min_confidence
+                    })
+                    .map(|(kind, start, end)| EntitySpan { kind, start, end })
+                    .collect();
+                merge_ioc_spans(&sentence, &mut spans);
+                spans
+            })
+            .collect()
+    }
+
+    #[test]
+    fn threshold_filter_matches_always_gated_decode() {
+        let mut p = trained_pipeline();
+        let text = "the zarbot ransomware spread fast. the krobot ransomware dropped \
+                    stage2.exe yesterday. nothing suspicious happened at 10.0.0.1 today. \
+                    the vexbot group returned.";
+        let mut dropped_somewhere = false;
+        for threshold in [0.0, -0.0, -1.0, 0.5, 0.9, 0.999, 1.1, f64::NAN] {
+            p.min_confidence = threshold;
+            let got: Vec<Vec<EntitySpan>> =
+                p.extract(text).into_iter().map(|se| se.spans).collect();
+            assert_eq!(got, always_gated_spans(&p, text), "threshold {threshold}");
+            p.min_confidence = 0.0;
+            let all: usize = p.extract(text).iter().map(|se| se.spans.len()).sum();
+            dropped_somewhere |= got.iter().map(Vec::len).sum::<usize>() < all;
+        }
+        assert!(dropped_somewhere, "some threshold must drop a span");
+        // NaN keeps only scanner spans, as an impossible threshold does.
+        p.min_confidence = f64::NAN;
+        let out = p.extract(text);
+        assert!(out.iter().flat_map(|se| &se.spans).all(|s| s.kind.is_ioc()));
     }
 
     #[test]

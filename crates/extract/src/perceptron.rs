@@ -6,7 +6,7 @@
 //! average over all updates (implemented with the standard
 //! timestamp-compensation trick, O(updates) rather than O(steps × weights)).
 
-use crate::crf::Example;
+use crate::crf::{self, Example};
 use crate::features::{FeatureMap, Featurizer};
 use crate::label::{LabelId, LabelSet};
 use kg_nlp::AnalyzedSentence;
@@ -35,7 +35,6 @@ pub struct StructuredPerceptron {
     features: FeatureMap,
     emit: Vec<f64>,
     trans: Vec<f64>,
-    n_labels: usize,
 }
 
 /// Mutable training state for the averaging trick.
@@ -105,7 +104,7 @@ impl StructuredPerceptron {
                     continue;
                 }
                 step += 1;
-                let predicted = viterbi(&labels, n, &emit.w, &trans.w, &ex.features);
+                let predicted = viterbi(&labels, &emit.w, &trans.w, &ex.features);
                 if predicted == ex.labels {
                     continue;
                 }
@@ -134,14 +133,13 @@ impl StructuredPerceptron {
             features: map,
             emit: emit.finalize(step),
             trans: trans.finalize(step),
-            n_labels: n,
         }
     }
 
     /// Decode a sentence into label ids.
     pub fn decode(&self, featurizer: &Featurizer, sentence: &AnalyzedSentence) -> Vec<LabelId> {
         let feats = featurizer.features_lookup(sentence, &self.features);
-        viterbi(&self.labels, self.n_labels, &self.emit, &self.trans, &feats)
+        viterbi(&self.labels, &self.emit, &self.trans, &feats)
     }
 
     /// The label set.
@@ -150,67 +148,12 @@ impl StructuredPerceptron {
     }
 }
 
-/// BIO-constrained Viterbi shared by trainer and decoder.
-fn viterbi(
-    labels: &LabelSet,
-    n: usize,
-    emit: &[f64],
-    trans: &[f64],
-    feats: &[Vec<u32>],
-) -> Vec<LabelId> {
-    let t_len = feats.len();
-    if t_len == 0 {
-        return Vec::new();
-    }
-    let mut scores = vec![0f64; t_len * n];
-    for (t, fs) in feats.iter().enumerate() {
-        for &f in fs {
-            let row = f as usize * n;
-            for l in 0..n {
-                scores[t * n + l] += emit[row + l];
-            }
-        }
-    }
-    let mut delta = vec![f64::NEG_INFINITY; t_len * n];
-    let mut back = vec![0usize; t_len * n];
-    for l in 0..n {
-        if !labels.is_inside(l as LabelId) {
-            delta[l] = scores[l];
-        }
-    }
-    for t in 1..t_len {
-        for l in 0..n {
-            let mut best = f64::NEG_INFINITY;
-            let mut arg = 0usize;
-            for p in 0..n {
-                if !labels.may_follow(p as LabelId, l as LabelId) {
-                    continue;
-                }
-                let v = delta[(t - 1) * n + p] + trans[p * n + l];
-                if v > best {
-                    best = v;
-                    arg = p;
-                }
-            }
-            delta[t * n + l] = best + scores[t * n + l];
-            back[t * n + l] = arg;
-        }
-    }
-    let mut last = (0..n)
-        .max_by(|&a, &b| {
-            delta[(t_len - 1) * n + a]
-                .partial_cmp(&delta[(t_len - 1) * n + b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .unwrap_or(0);
-    let mut path = vec![0 as LabelId; t_len];
-    for t in (0..t_len).rev() {
-        path[t] = last as LabelId;
-        if t > 0 {
-            last = back[t * n + last];
-        }
-    }
-    path
+/// BIO-constrained Viterbi shared by trainer and decoder: the CRF's
+/// scoring and Viterbi kernels over this model's weights.
+fn viterbi(labels: &LabelSet, emit: &[f64], trans: &[f64], feats: &[Vec<u32>]) -> Vec<LabelId> {
+    let mut scores = Vec::new();
+    crf::emission_scores(emit, labels.len(), feats, &mut scores);
+    crf::viterbi(labels, trans, &scores)
 }
 
 #[cfg(test)]
@@ -292,6 +235,6 @@ mod tests {
         let model =
             StructuredPerceptron::train(labels, map, &examples, &PerceptronConfig::default());
         let labels = LabelSet::standard();
-        assert!(viterbi(&labels, labels.len(), &model.emit, &model.trans, &[]).is_empty());
+        assert!(viterbi(&labels, &model.emit, &model.trans, &[]).is_empty());
     }
 }

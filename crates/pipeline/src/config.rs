@@ -77,6 +77,8 @@ pub struct PipelineConfig {
     pub serialize_transport: bool,
     /// Minimum CRF span confidence for NER mentions (the "threshold values
     /// for entity recognition" the paper's config file passes to components).
+    /// Confidences are forward–backward marginals, which decode computes
+    /// only when this is above 0; at 0 (the default) decode is Viterbi alone.
     pub ner_min_confidence: f64,
     /// Test-only fault injection; never read from or written to JSON.
     #[serde(skip)]

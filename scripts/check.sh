@@ -39,6 +39,14 @@ cargo run -q -p kg-bench --bin exp_plan --release -- --smoke
 echo "== E18 smoke (binary vs JSON payload decode digest parity) =="
 cargo run -q -p kg-bench --bin exp_recover_decode --release -- --smoke
 
+echo "== e2e smoke (bulk_ingest, 1 s, the benchmark's own oracle) =="
+e2e_result="$(python3 e2ebench/run.py --workload bulk_ingest --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$e2e_result"
+if ! grep -q '"correct":true' <<<"$e2e_result" || ! grep -Eq '"failed":0[,}]' <<<"$e2e_result"; then
+    echo "e2e smoke: bulk_ingest must report correct:true with 0 failed operations" >&2
+    exit 1
+fi
+
 echo "== serving stress (elevated readers) =="
 SERVE_STRESS_READERS=8 cargo test -q --test serving
 
