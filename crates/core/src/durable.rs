@@ -42,7 +42,7 @@ use crate::snapshot::KnowledgeBase;
 use crate::SystemConfig;
 use kg_corpus::{standard_sources, SimulatedWeb, World};
 use kg_crawler::{Scheduler, SchedulerCheckpoint, SchedulerConfig, SchedulerStats};
-use kg_graph::{Edge, GraphStore, Node, NodeId};
+use kg_graph::{edge_digest, node_digest, Edge, GraphStore, Node, NodeId, DIGEST_SEED};
 use kg_ir::{combine_hashes, RawReport};
 use kg_persist::{FaultHook, SegmentStore, StoreOptions};
 use kg_pipeline::{
@@ -175,11 +175,11 @@ pub struct DurableReport {
     pub stats: SchedulerStats,
     /// Accumulated pipeline accounting across this call's cycles.
     pub metrics: PipelineMetrics,
-    /// The final graph (an `Arc`-segment refcount clone, not a deep copy) —
-    /// lets callers run post-build checks (e.g. shard-partition digest
-    /// verification) without re-reading the durable dir.
+    /// The final graph, moved out of the run — lets callers run post-build
+    /// checks (e.g. shard-partition digest verification) or serve it
+    /// without re-reading the durable dir.
     pub graph: GraphStore,
-    /// The final keyword index (same cheap clone).
+    /// The final keyword index, moved out likewise.
     pub search: SearchIndex<NodeId>,
     /// Structured events: replay, snapshots, reboots, breaker transitions.
     pub trace: TraceLog,
@@ -236,10 +236,12 @@ struct Recovered {
     search: SearchIndex<NodeId>,
 }
 
-/// One decoded segment blob, produced by the parallel decode pool.
+/// One decoded segment blob, produced by the parallel decode pool. Graph
+/// segments carry the seedless sum of their live elements' digest terms,
+/// hashed by the worker that decoded them.
 enum DecodedPart {
-    Node(Vec<Option<Node>>),
-    Edge(Vec<Option<Edge>>),
+    Node(Vec<Option<Node>>, u64),
+    Edge(Vec<Option<Edge>>, u64),
     Doc(Vec<(NodeId, u32)>),
     Shard(ShardTerms),
 }
@@ -247,14 +249,27 @@ enum DecodedPart {
 /// Decode one segment blob, auto-sniffing its wire format: `KGBIN001`
 /// payloads take the zero-parse binary path, anything else the legacy JSON
 /// path. The fallback is what makes mixed-format manifests (old JSON blobs
-/// carried forward beside new binary ones) recover without ceremony.
+/// carried forward beside new binary ones) recover without ceremony. Graph
+/// segments are hashed here too, so the digest check costs no serial pass.
 fn decode_part(kind: char, index: usize, bytes: &[u8]) -> Result<DecodedPart, String> {
+    fn partial<T>(slots: &[Option<T>], term: fn(&T) -> u64) -> u64 {
+        slots
+            .iter()
+            .flatten()
+            .fold(0u64, |sum, element| sum.wrapping_add(term(element)))
+    }
     match kind {
         'n' => kg_codec::decode_node_segment_auto(bytes)
-            .map(DecodedPart::Node)
+            .map(|slots| {
+                let sum = partial(&slots, node_digest);
+                DecodedPart::Node(slots, sum)
+            })
             .map_err(|e| format!("node segment {index}: {e}")),
         'e' => kg_codec::decode_edge_segment_auto(bytes)
-            .map(DecodedPart::Edge)
+            .map(|slots| {
+                let sum = partial(&slots, edge_digest);
+                DecodedPart::Edge(slots, sum)
+            })
             .map_err(|e| format!("edge segment {index}: {e}")),
         'd' => kg_codec::decode_doc_segment_auto(bytes)
             .map(DecodedPart::Doc)
@@ -348,10 +363,17 @@ fn reassemble(
     let mut edge_parts: Vec<Vec<Option<Edge>>> = Vec::with_capacity(meta.edge_segments);
     let mut doc_parts: Vec<Vec<(NodeId, u32)>> = Vec::with_capacity(meta.search_doc_segments);
     let mut shard_parts: Vec<ShardTerms> = Vec::with_capacity(PERSIST_SHARDS);
+    let mut digest = DIGEST_SEED;
     for _ in 0..jobs.len() {
         match decoded.next().expect("one result per job")? {
-            DecodedPart::Node(part) => node_parts.push(part),
-            DecodedPart::Edge(part) => edge_parts.push(part),
+            DecodedPart::Node(part, sum) => {
+                node_parts.push(part);
+                digest = digest.wrapping_add(sum);
+            }
+            DecodedPart::Edge(part, sum) => {
+                edge_parts.push(part);
+                digest = digest.wrapping_add(sum);
+            }
             DecodedPart::Doc(part) => doc_parts.push(part),
             DecodedPart::Shard(part) => shard_parts.push(part),
         }
@@ -359,7 +381,8 @@ fn reassemble(
     let graph = GraphStore::from_segments(node_parts, edge_parts)?;
     // The decisive check: the reassembled graph must reproduce the digest
     // the manifest recorded at checkpoint time, byte-identical semantics.
-    let digest = graph_digest(&graph);
+    // The sum of the workers' segment partials covers exactly the
+    // reassembled graph's live elements, so no serial re-hash is needed.
     if digest != record.kg_digest {
         return Err(format!(
             "reassembled graph digest {digest:016x} != recorded {:016x}",
@@ -646,6 +669,7 @@ pub fn run_durable(
     )?;
 
     let mut resumed_from = None;
+    let mut resumed_digest = None;
     let mut replayed_records = 0;
     let mut torn_tail = false;
 
@@ -668,6 +692,7 @@ pub fn run_durable(
                 search,
             }) => {
                 resumed_from = Some(meta.seq);
+                resumed_digest = Some(meta.kg_digest);
                 DurableState {
                     snapshot_seq: meta.seq,
                     cycles_done: meta.cycles_done,
@@ -802,8 +827,9 @@ pub fn run_durable(
     }
 
     // Seal the run with a final checkpoint (unless this call was a pure
-    // no-op resume of an already-complete directory).
-    if cycles_run > 0 || state.snapshot_seq == 0 {
+    // no-op resume of an already-complete directory, whose graph is the
+    // recovered one and whose digest recovery has just verified).
+    let kg_digest = if cycles_run > 0 || state.snapshot_seq == 0 {
         state.snapshot_seq += 1;
         write_checkpoint(
             &mut store,
@@ -811,15 +837,18 @@ pub fn run_durable(
             &mut journal,
             &trace,
             opts.json_payloads,
-        )?;
-    }
+        )?
+    } else {
+        resumed_digest.expect("a checkpoint sequence above 0 was restored by recovery")
+    };
+    debug_assert_eq!(kg_digest, graph_digest(&state.connector.graph));
 
     Ok(DurableReport {
         cycles_run,
         reports_ingested,
         records_appended: journal.records_written() - records_at_start,
         skipped_duplicates,
-        kg_digest: graph_digest(&state.connector.graph),
+        kg_digest,
         resumed_from_snapshot: resumed_from,
         replayed_records,
         torn_tail,
@@ -827,7 +856,106 @@ pub fn run_durable(
         stats: state.scheduler.stats.clone(),
         metrics,
         trace,
-        graph: state.connector.graph.clone(),
-        search: state.connector.search.clone(),
+        graph: state.connector.graph,
+        search: state.connector.search,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kg_corpus::{FaultProfile, WorldConfig};
+    use std::path::PathBuf;
+
+    fn system() -> SystemConfig {
+        SystemConfig {
+            world: WorldConfig::tiny(29),
+            articles_per_source: 2,
+            seed: 29,
+            faults: FaultProfile::default(),
+            ..SystemConfig::default()
+        }
+    }
+
+    fn tmp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("kg-durable-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn run(dir: &Path, until_ms: u64) -> DurableReport {
+        run_durable(
+            &system(),
+            &SchedulerConfig::default(),
+            dir,
+            until_ms,
+            &DurableOptions::default(),
+        )
+        .expect("durable run")
+    }
+
+    /// A checkpoint whose every blob is intact and checksum-valid, and whose
+    /// meta agrees with its manifest record, but whose recorded digest is
+    /// off by one: only the decisive digest comparison can reject it.
+    #[test]
+    fn recorded_digest_mismatch_alone_quarantines_the_checkpoint() {
+        let horizon = DEFAULT_START_MS + 12 * 3_600_000;
+        let ref_dir = tmp_dir("digest-ref");
+        let reference = run(&ref_dir, horizon);
+        let _ = std::fs::remove_dir_all(&ref_dir);
+
+        let dir = tmp_dir("digest-off-by-one");
+        let first = run(&dir, DEFAULT_START_MS + 3 * 3_600_000);
+        assert!(first.cycles_run > 0);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+        let good = store
+            .recover_with(reassemble)
+            .unwrap()
+            .expect("a checkpoint");
+        let good_seq = good.meta.seq;
+        assert_eq!(good.meta.kg_digest, first.kg_digest);
+        let wrong = first.kg_digest.wrapping_add(1);
+        let meta = CheckpointMeta {
+            seq: good_seq + 1,
+            kg_digest: wrong,
+            ..good.meta
+        };
+        // Only the meta blob is rewritten; every segment blob is carried
+        // forward by reference, checksums intact.
+        store
+            .checkpoint(
+                meta.seq,
+                meta.cycles_done,
+                wrong,
+                vec![("meta".to_owned(), serde_json::to_vec(&meta).unwrap())],
+            )
+            .unwrap();
+        drop(store);
+
+        let attribution = format!(
+            "checkpoint {}: quarantined -: reassembled graph digest {:016x} != recorded {wrong:016x}",
+            good_seq + 1,
+            first.kg_digest
+        );
+        let summary = verify_dir(&dir, true).unwrap();
+        assert_eq!(
+            summary.restored,
+            Some((good_seq, good.meta.cycles_done, first.kg_digest))
+        );
+        assert_eq!(summary.events, vec![attribution.clone()]);
+
+        // The run falls back to the previous checkpoint and resumes to the
+        // uninterrupted run's digest.
+        let resumed = run(&dir, horizon);
+        assert_eq!(resumed.resumed_from_snapshot, Some(good_seq));
+        assert_eq!(resumed.recovery_events, vec![attribution]);
+        assert!(resumed.cycles_run > 0);
+        assert_eq!(resumed.kg_digest, reference.kg_digest);
+        assert_eq!(resumed.kg_digest, graph_digest(&resumed.graph));
+        // A no-op resume reports the recovered checkpoint's digest.
+        let noop = run(&dir, horizon);
+        assert_eq!(noop.cycles_run, 0);
+        assert_eq!(noop.kg_digest, reference.kg_digest);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

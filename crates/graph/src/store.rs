@@ -143,9 +143,21 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+thread_local! {
+    /// Reused JSON buffer for digest terms, so hashing an element allocates
+    /// nothing once the buffer has grown to the largest element seen.
+    static TERM_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// `splitmix64(fnv1a64(canonical JSON of element) ^ tag)`; the JSON is
+/// written into [`TERM_SCRATCH`], never into a fresh `String`.
 fn element_term<T: Serialize>(element: &T, tag: u64) -> u64 {
-    let json = serde_json::to_string(element).expect("graph element serialises");
-    splitmix64(fnv1a64_str(&json) ^ tag)
+    TERM_SCRATCH.with(|buf| {
+        let mut json = buf.borrow_mut();
+        json.clear();
+        element.write_json(&mut json);
+        splitmix64(fnv1a64_str(&json) ^ tag)
+    })
 }
 
 /// The digest term one node contributes to [`GraphStore::digest`].
@@ -1724,5 +1736,82 @@ mod tests {
         let got = g.collect_changes(c);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].changes.nodes, vec![a]);
+    }
+
+    /// A fixed graph whose labels, keys and values cover every JSON escape
+    /// and every `Value` variant (NaN and ±0.0 included, which encode as
+    /// `null`, `0` and `-0`), with a delete and a rename in its history.
+    fn golden_graph() -> GraphStore {
+        let mut every_control: String = (0u8..0x20).map(char::from).collect();
+        every_control.push('\u{7f}');
+        let mut g = GraphStore::new();
+        let a = g.create_node(
+            "Malware",
+            [
+                ("name", Value::from("wanna\"cry\\")),
+                ("controls", Value::from(every_control.clone())),
+                ("empty", Value::from("")),
+                (
+                    "utf8",
+                    Value::from("h\u{e9}llo \u{2028}\u{2029} \u{1F600} \u{4e2d}"),
+                ),
+                ("null", Value::Null),
+                ("yes", Value::Bool(true)),
+                ("no", Value::Bool(false)),
+                ("int", Value::Int(i64::MIN)),
+                ("nan", Value::Float(f64::NAN)),
+                ("zero", Value::Float(0.0)),
+                ("neg_zero", Value::Float(-0.0)),
+                ("float", Value::Float(-1.0e-300)),
+                ("inf", Value::Float(f64::INFINITY)),
+            ],
+        );
+        let b = g.create_node(
+            "File\"Name",
+            [
+                ("name", Value::from("tasks\tche\n.exe")),
+                ("key \"\\\u{1}\u{2028}", Value::from("escaped key")),
+                (every_control.as_str(), Value::Int(7)),
+            ],
+        );
+        let c = g.create_node("Tool", [("name", Value::from("gone"))]);
+        let d = g.create_node("ThreatActor", [("name", Value::from("lazarus"))]);
+        g.set_node_prop(
+            a,
+            "list",
+            Value::List(vec![
+                Value::Int(1),
+                Value::from("\u{8}\u{c}"),
+                Value::List(vec![Value::Null, Value::Float(2.5)]),
+                Value::Node(b),
+                Value::Edge(EdgeId(0)),
+            ]),
+        )
+        .unwrap();
+        g.create_edge(a, "DROP", b, [("why", Value::Node(d))])
+            .unwrap();
+        g.create_edge(d, "USE\\", a, [("seen", Value::Edge(EdgeId(0)))])
+            .unwrap();
+        g.create_edge(c, "USE", a, [] as [(&str, Value); 0])
+            .unwrap();
+        g.delete_node(c).unwrap();
+        g.set_node_prop(d, "name", Value::from("hidden cobra \u{7f}"))
+            .unwrap();
+        g
+    }
+
+    /// Pins the bytes every digest term hashes: any change to the element
+    /// JSON encoding (escaping, map keys, numbers) moves this constant.
+    #[test]
+    fn golden_digest_is_pinned() {
+        let g = golden_graph();
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(g.edge_count(), 2);
+        assert_eq!(
+            g.digest(),
+            0x1a6a_3642_3529_13a2,
+            "golden digest moved: {:#018x}",
+            g.digest()
+        );
     }
 }

@@ -90,19 +90,6 @@ impl CorpusStats {
     }
 }
 
-/// One document recovered from the postings tail by
-/// [`SearchIndex::appended_docs`]: everything `add_pretokenized` needs to
-/// re-ingest it into a partition.
-#[derive(Debug, Clone)]
-pub struct AppendedDoc<D> {
-    /// The slot the document occupies in the source index.
-    pub slot: u32,
-    pub key: D,
-    pub token_len: u32,
-    /// Sorted `(term, frequency)` pairs, as originally ingested.
-    pub counts: Vec<(String, u32)>,
-}
-
 /// An inverted index over documents identified by an arbitrary key type
 /// (the knowledge graph uses node ids; the pipeline uses report ids).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -303,38 +290,63 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
         }
     }
 
-    /// Documents appended at or past `watermark`, reconstructed from the
-    /// postings tails: slot, key, token length, and the sorted per-term
-    /// counts [`SearchIndex::add_pretokenized`] originally ingested. Docs
-    /// are append-only and postings are slot-ascending, so each term's tail
-    /// starts at a binary-searched cut. This is how a shard partition syncs
-    /// from the shared writer index without re-tokenizing.
-    pub fn appended_docs(&self, watermark: usize) -> Vec<AppendedDoc<D>> {
+    /// Route the documents appended at or past `watermark` into disjoint
+    /// partitions keyed by `(global slot, key)`: document `d` goes to
+    /// `parts[owner(&d.key)]`. New docs take their partition's next local
+    /// slot in global slot order; each term's posting tail is then walked
+    /// once and split by owner, so every partition ends up exactly as if
+    /// each doc had been [`SearchIndex::add_pretokenized`] into it in slot
+    /// order — same docs, `total_tokens`, slot-ascending postings and dirty
+    /// shards — without rebuilding per-document term lists. Docs are
+    /// append-only and postings slot-ascending, so each tail starts at a
+    /// binary-searched cut.
+    pub fn route_appended(
+        &self,
+        watermark: usize,
+        mut owner: impl FnMut(&D) -> usize,
+        parts: &mut [&mut SearchIndex<(u32, D)>],
+    ) {
         if watermark >= self.docs.len() {
-            return Vec::new();
+            return;
         }
-        let mut counts: Vec<Vec<(String, u32)>> = vec![Vec::new(); self.docs.len() - watermark];
+        let fresh = &self.docs[watermark..];
+        // (owner, local slot) of every new doc, assigned in global order.
+        let mut routes: Vec<(usize, u32)> = Vec::with_capacity(fresh.len());
+        for (i, (key, token_len)) in fresh.iter().enumerate() {
+            let part = owner(key);
+            let index = &mut *parts[part];
+            routes.push((part, index.docs.len() as u32));
+            index
+                .docs
+                .push((((watermark + i) as u32, key.clone()), *token_len));
+            index.total_tokens += *token_len as u64;
+        }
+        // One reusable bucket per partition; each term's lists are copied
+        // out at their exact length.
+        let mut buckets: Vec<Vec<Posting>> = vec![Vec::new(); parts.len()];
         for (term, postings) in &self.postings {
             let start = postings.partition_point(|p| (p.doc as usize) < watermark);
+            if start == postings.len() {
+                continue;
+            }
             for p in &postings[start..] {
-                counts[p.doc as usize - watermark].push((term.clone(), p.tf));
+                let (part, local) = routes[p.doc as usize - watermark];
+                buckets[part].push(Posting {
+                    doc: local,
+                    tf: p.tf,
+                });
+            }
+            for (index, bucket) in parts.iter_mut().zip(&mut buckets) {
+                if bucket.is_empty() {
+                    continue;
+                }
+                index.dirty_shards.insert(shard_of(term));
+                let list = Arc::make_mut(index.postings.entry(term.clone()).or_default());
+                list.reserve_exact(bucket.len());
+                list.extend_from_slice(bucket);
+                bucket.clear();
             }
         }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut c)| {
-                c.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                let slot = watermark + i;
-                let (key, token_len) = self.docs[slot].clone();
-                AppendedDoc {
-                    slot: slot as u32,
-                    key,
-                    token_len,
-                    counts: c,
-                }
-            })
-            .collect()
     }
 
     /// BM25 top-k over *pre-tokenized* query terms with externally supplied
@@ -742,17 +754,16 @@ mod tests {
         let idx = index();
         let query = "wannacry ransomware government";
         let terms = SearchIndex::<u32>::terms(query);
-        // Split docs across two partitions by parity of the original slot.
-        let mut parts: Vec<SearchIndex<u32>> = vec![SearchIndex::default(), SearchIndex::default()];
-        for d in idx.appended_docs(0) {
-            parts[d.slot as usize % 2].add_pretokenized(d.key, d.counts, d.token_len);
-        }
+        // Split docs across two partitions by parity of their key.
+        let mut parts: Vec<SearchIndex<(u32, u32)>> =
+            vec![SearchIndex::default(), SearchIndex::default()];
+        idx.route_appended(0, |key| *key as usize % 2, &mut part_refs(&mut parts));
         let mut stats = CorpusStats::default();
         for p in &parts {
             stats.merge(&p.corpus_stats_for(&terms));
         }
         let global = idx.search(query, 10);
-        let mut merged: Vec<Hit<u32>> = parts
+        let mut merged: Vec<Hit<(u32, u32)>> = parts
             .iter()
             .flat_map(|p| p.search_terms_with_stats(&terms, 10, &stats))
             .collect();
@@ -760,35 +771,201 @@ mod tests {
             b.score
                 .partial_cmp(&a.score)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.doc.cmp(&b.doc))
+                .then(a.doc.0.cmp(&b.doc.0))
         });
         assert_eq!(global.len(), merged.len());
         for (x, y) in global.iter().zip(&merged) {
-            assert_eq!(x.doc, y.doc);
+            assert_eq!(x.doc, y.doc.1);
             assert_eq!(x.score.to_bits(), y.score.to_bits());
         }
     }
 
     #[test]
-    fn appended_docs_reconstruct_the_postings_tail() {
+    fn routing_into_one_part_reproduces_the_layout() {
         let idx = index();
-        let tail = idx.appended_docs(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].slot, 2);
-        assert_eq!(tail[0].key, 3);
-        assert_eq!(tail[1].slot, 3);
-        assert!(idx.appended_docs(4).is_empty());
-        assert!(idx.appended_docs(100).is_empty());
-        // Re-ingesting the full tail into a fresh index reproduces the
-        // original layout exactly.
-        let mut rebuilt: SearchIndex<u32> = SearchIndex::default();
-        for d in idx.appended_docs(0) {
-            rebuilt.add_pretokenized(d.key, d.counts, d.token_len);
+        let mut one: Vec<SearchIndex<(u32, u32)>> = vec![SearchIndex::default()];
+        idx.route_appended(0, |_| 0, &mut part_refs(&mut one));
+        let part = &one[0];
+        let keyed: Vec<(u32, u32)> = idx
+            .docs
+            .iter()
+            .map(|(k, _)| *k)
+            .enumerate()
+            .map(|(s, k)| (s as u32, k))
+            .collect();
+        assert_eq!(part.docs.iter().map(|(k, _)| *k).collect::<Vec<_>>(), keyed);
+        assert_eq!(part.total_tokens, idx.total_tokens);
+        assert_eq!(part.postings, idx.postings);
+        // Past the end there is nothing to route.
+        idx.route_appended(4, |_| 0, &mut part_refs(&mut one));
+        idx.route_appended(100, |_| 0, &mut part_refs(&mut one));
+        assert_eq!(one[0].len(), 4);
+    }
+
+    // ---- route_appended against the per-document reference --------------
+
+    /// The routing `route_appended` replaced: rebuild every appended doc's
+    /// sorted term counts from the postings tails, then re-index each doc
+    /// into its owner with `add_pretokenized`, in slot order.
+    fn reference_route<D: Clone + PartialEq>(
+        source: &SearchIndex<D>,
+        watermark: usize,
+        mut owner: impl FnMut(&D) -> usize,
+        parts: &mut [SearchIndex<(u32, D)>],
+    ) {
+        if watermark >= source.docs.len() {
+            return;
         }
-        assert_eq!(
-            serde_json::to_string(&idx).unwrap(),
-            serde_json::to_string(&rebuilt).unwrap()
-        );
+        let mut counts: Vec<Vec<(String, u32)>> = vec![Vec::new(); source.docs.len() - watermark];
+        for (term, postings) in &source.postings {
+            let start = postings.partition_point(|p| (p.doc as usize) < watermark);
+            for p in &postings[start..] {
+                counts[p.doc as usize - watermark].push((term.clone(), p.tf));
+            }
+        }
+        for (i, mut c) in counts.into_iter().enumerate() {
+            c.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let slot = watermark + i;
+            let (key, token_len) = source.docs[slot].clone();
+            let part = owner(&key);
+            parts[part].add_pretokenized((slot as u32, key), c, token_len);
+        }
+    }
+
+    fn part_refs<D>(parts: &mut [SearchIndex<D>]) -> Vec<&mut SearchIndex<D>> {
+        parts.iter_mut().collect()
+    }
+
+    /// Structural equality of two indexes (capacity aside).
+    fn assert_same_index(a: &SearchIndex<(u32, u32)>, b: &SearchIndex<(u32, u32)>, what: &str) {
+        assert_eq!(a.docs, b.docs, "{what}: docs");
+        assert_eq!(a.total_tokens, b.total_tokens, "{what}: total_tokens");
+        assert_eq!(a.postings, b.postings, "{what}: postings");
+        assert_eq!(a.dirty_shards, b.dirty_shards, "{what}: dirty_shards");
+        assert_eq!(a.clean_docs, b.clean_docs, "{what}: clean_docs");
+    }
+
+    /// splitmix64 stream: the corpora below need no statistical quality.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        }
+    }
+
+    /// One pre-counted document: key, sorted term counts, token length.
+    type CountedDoc = (u32, Vec<(String, u32)>, u32);
+
+    /// A random corpus of pre-counted documents over a small vocabulary:
+    /// empty docs, repeated keys and shared terms all occur.
+    fn random_docs(rng: &mut Mix) -> Vec<CountedDoc> {
+        let vocab = 4 + rng.below(40);
+        (0..rng.below(90))
+            .map(|_| {
+                let key = rng.below(30) as u32;
+                let mut terms: Vec<(String, u32)> = (0..rng.below(9))
+                    .map(|_| (format!("t{}", rng.below(vocab)), 1 + rng.below(4) as u32))
+                    .collect();
+                terms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                terms.dedup_by(|a, b| a.0 == b.0);
+                let token_len = terms.iter().map(|(_, tf)| tf).sum::<u32>() + rng.below(3) as u32;
+                (key, terms, token_len)
+            })
+            .collect()
+    }
+
+    fn build(docs: &[CountedDoc]) -> SearchIndex<u32> {
+        let mut idx = SearchIndex::default();
+        for (key, terms, token_len) in docs {
+            idx.add_pretokenized(*key, terms.clone(), *token_len);
+        }
+        idx
+    }
+
+    #[test]
+    fn route_appended_equals_per_document_reindexing() {
+        let mut rng = Mix(0x5eed_0001);
+        for case in 0..200 {
+            let docs = random_docs(&mut rng);
+            let source = build(&docs);
+            let n = source.len();
+            let shards = 1 + rng.below(4);
+            // A random owner function: a per-key table over the key space.
+            let table: Vec<usize> = (0..30).map(|_| rng.below(shards)).collect();
+            let owner = |key: &u32| table[*key as usize];
+            for watermark in [0, n / 2, n] {
+                // Both sides start from the same partitions holding every
+                // doc below the watermark, published (shared) and cleaned
+                // the way a shard set's partitions are.
+                let seeded = || {
+                    let mut parts: Vec<SearchIndex<(u32, u32)>> =
+                        (0..shards).map(|_| SearchIndex::default()).collect();
+                    reference_route(&build(&docs[..watermark]), 0, owner, &mut parts);
+                    for part in &mut parts {
+                        part.clear_persist_dirty();
+                    }
+                    parts
+                };
+                let mut expected = seeded();
+                reference_route(&source, watermark, owner, &mut expected);
+                let mut got = seeded();
+                let published = got.clone();
+                source.route_appended(watermark, owner, &mut part_refs(&mut got));
+                for (shard, (a, b)) in got.iter().zip(&expected).enumerate() {
+                    let what = format!("case {case} wm {watermark} shard {shard}");
+                    assert_same_index(a, b, &what);
+                }
+                // Lists shared with a published clone are copied on write.
+                for (a, b) in published.iter().zip(&seeded()) {
+                    assert_same_index(a, b, &format!("case {case} published"));
+                }
+                let queries = ["t0", "t1 t2", "t3 t3 t0", "t7 missing"];
+                for query in queries {
+                    let terms: Vec<String> = query.split(' ').map(str::to_owned).collect();
+                    let mut stats = CorpusStats::default();
+                    for part in &got {
+                        stats.merge(&part.corpus_stats_for(&terms));
+                    }
+                    for (a, b) in got.iter().zip(&expected) {
+                        let x = a.search_terms_with_stats(&terms, 10, &stats);
+                        let y = b.search_terms_with_stats(&terms, 10, &stats);
+                        assert_eq!(x.len(), y.len(), "case {case} {query}");
+                        for (h, k) in x.iter().zip(&y) {
+                            assert_eq!(h.doc, k.doc);
+                            assert_eq!(h.score.to_bits(), k.score.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn routing_in_two_steps_equals_routing_in_one() {
+        let mut rng = Mix(0x5eed_0002);
+        for case in 0..200 {
+            let docs = random_docs(&mut rng);
+            let full = build(&docs);
+            let mid = rng.below(docs.len() + 1);
+            let shards = 1 + rng.below(4);
+            let salt = rng.below(1 << 20) as u32;
+            let owner = |key: &u32| (key.wrapping_mul(2_654_435_761) ^ salt) as usize % shards;
+            let mut once: Vec<SearchIndex<(u32, u32)>> =
+                (0..shards).map(|_| SearchIndex::default()).collect();
+            full.route_appended(0, owner, &mut part_refs(&mut once));
+            let mut twice: Vec<SearchIndex<(u32, u32)>> =
+                (0..shards).map(|_| SearchIndex::default()).collect();
+            build(&docs[..mid]).route_appended(0, owner, &mut part_refs(&mut twice));
+            full.route_appended(mid, owner, &mut part_refs(&mut twice));
+            for (shard, (a, b)) in once.iter().zip(&twice).enumerate() {
+                assert_same_index(a, b, &format!("case {case} mid {mid} shard {shard}"));
+            }
+        }
     }
 
     #[test]

@@ -93,26 +93,25 @@ impl PlanCache {
             return Ok(Arc::new(CompiledPlan::compile(&parse(text)?)?));
         }
         let key = crate::normalize(text);
-        if let Some(plan) = self.shard_of(&key).lock().map.get(&key) {
+        let mut shard = self.shard_of(&key).lock();
+        if let Some(plan) = shard.map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(plan));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
+        // Compile under the shard lock: concurrent misses on one query wait
+        // for the first compile instead of racing it, so each distinct plan
+        // compiles exactly once.
         let plan = Arc::new(CompiledPlan::compile(&parse(text)?)?);
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_of(&key).lock();
-        if shard.map.contains_key(&key) {
-            // Raced with another compiler; either plan is equivalent.
-        } else {
-            if shard.map.len() >= self.per_shard {
-                if let Some(oldest) = shard.order.pop_front() {
-                    shard.map.remove(&oldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+        if shard.map.len() >= self.per_shard {
+            if let Some(oldest) = shard.order.pop_front() {
+                shard.map.remove(&oldest);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            shard.order.push_back(key.clone());
-            shard.map.insert(key, Arc::clone(&plan));
         }
+        shard.order.push_back(key.clone());
+        shard.map.insert(key, Arc::clone(&plan));
         Ok(plan)
     }
 

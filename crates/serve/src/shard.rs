@@ -202,40 +202,18 @@ struct ShardEpochBuilder {
 }
 
 impl ShardEpochBuilder {
-    /// Seed from a full scan of the live graph, keeping only owned
-    /// elements. The one O(graph) moment per shard.
-    fn new(graph: &mut GraphStore, shard: usize, shards: usize) -> Self {
-        let cursor = graph.register_delta_consumer();
-        let mut partial = 0u64;
-        let mut node_terms = HashMap::new();
-        let mut edge_terms = HashMap::new();
-        let mut adjacency = HashMap::new();
-        for node in graph.all_nodes() {
-            if node_shard(node, shards) != shard {
-                continue;
-            }
-            let term = node_digest(node);
-            node_terms.insert(node.id, term);
-            partial = partial.wrapping_add(term);
-            adjacency.insert(node.id, Arc::new(graph.neighbors(node.id)));
-        }
-        for edge in graph.all_edges() {
-            if edge_owner(graph, edge.from, shards) != shard {
-                continue;
-            }
-            let term = edge_digest(edge);
-            edge_terms.insert(edge.id, term);
-            partial = partial.wrapping_add(term);
-        }
+    /// An empty builder with its own cursor on the writer's delta log;
+    /// [`ShardSet::new`] seeds every shard's state in one scan.
+    fn empty(graph: &mut GraphStore, shard: usize, shards: usize) -> Self {
         ShardEpochBuilder {
             shard,
             shards,
-            node_terms,
-            edge_terms,
-            partial,
-            adjacency,
+            node_terms: HashMap::new(),
+            edge_terms: HashMap::new(),
+            partial: 0,
+            adjacency: HashMap::new(),
             search: SearchIndex::default(),
-            cursor,
+            cursor: graph.register_delta_consumer(),
         }
     }
 
@@ -338,14 +316,43 @@ pub struct ShardSet {
 }
 
 impl ShardSet {
-    /// Seed `shards` builders from a full scan and route every already-
-    /// indexed document.
+    /// Seed `shards` builders from one scan of the live graph — each
+    /// element's owner and digest term are computed once and handed to that
+    /// shard — and route every already-indexed document. The one O(graph)
+    /// moment of a shard set.
     pub fn new(graph: &mut GraphStore, search: &SearchIndex<NodeId>, shards: usize) -> Self {
         let shards = shards.max(1);
+        let mut builders: Vec<ShardEpochBuilder> = (0..shards)
+            .map(|shard| ShardEpochBuilder::empty(graph, shard, shards))
+            .collect();
+        // Node ids are slot indexes, so a dense table maps each live node
+        // to its owner for the edge pass.
+        let mut node_owner: Vec<Option<usize>> = vec![None; graph.node_slot_count()];
+        for node in graph.all_nodes() {
+            let owner = node_shard(node, shards);
+            node_owner[node.id.0 as usize] = Some(owner);
+            let builder = &mut builders[owner];
+            let term = node_digest(node);
+            builder.node_terms.insert(node.id, term);
+            builder.partial = builder.partial.wrapping_add(term);
+            builder
+                .adjacency
+                .insert(node.id, Arc::new(graph.neighbors(node.id)));
+        }
+        for edge in graph.all_edges() {
+            // The same fallback as `edge_owner` for a dangling `from`.
+            let owner = node_owner
+                .get(edge.from.0 as usize)
+                .copied()
+                .flatten()
+                .unwrap_or_else(|| id_shard(edge.from.0, shards));
+            let builder = &mut builders[owner];
+            let term = edge_digest(edge);
+            builder.edge_terms.insert(edge.id, term);
+            builder.partial = builder.partial.wrapping_add(term);
+        }
         let mut set = ShardSet {
-            builders: (0..shards)
-                .map(|shard| ShardEpochBuilder::new(graph, shard, shards))
-                .collect(),
+            builders,
             docs_seen: 0,
         };
         set.sync_docs(graph, search);
@@ -360,20 +367,17 @@ impl ShardSet {
     /// Route newly appended documents into their partitions: owner of the
     /// subject node at routing time, sticky forever after (BM25 scoring
     /// uses merged global stats, so *any* sticky assignment reproduces the
-    /// unsharded scores — routing only decides locality).
+    /// unsharded scores — routing only decides locality). Postings are
+    /// split by owner straight from the writer index's tails.
     fn sync_docs(&mut self, graph: &GraphStore, search: &SearchIndex<NodeId>) {
         let shards = self.builders.len();
-        for doc in search.appended_docs(self.docs_seen) {
-            let owner = match graph.node(doc.key) {
-                Some(node) => node_shard(node, shards),
-                None => id_shard(doc.key.0, shards),
-            };
-            self.builders[owner].search.add_pretokenized(
-                (doc.slot, doc.key),
-                doc.counts,
-                doc.token_len,
-            );
-        }
+        let owner = |key: &NodeId| match graph.node(*key) {
+            Some(node) => node_shard(node, shards),
+            None => id_shard(key.0, shards),
+        };
+        let mut parts: Vec<&mut SearchIndex<ShardDoc>> =
+            self.builders.iter_mut().map(|b| &mut b.search).collect();
+        search.route_appended(self.docs_seen, owner, &mut parts);
         self.docs_seen = search.len();
     }
 
@@ -741,6 +745,82 @@ mod tests {
                 cap: 10,
             },
         ]
+    }
+
+    /// The per-shard seeding scan the one-pass [`ShardSet::new`] replaced:
+    /// every shard walks the whole graph and recomputes every owner.
+    fn reference_seed(graph: &mut GraphStore, shard: usize, shards: usize) -> ShardEpochBuilder {
+        let mut builder = ShardEpochBuilder::empty(graph, shard, shards);
+        for node in graph.all_nodes() {
+            if node_shard(node, shards) != shard {
+                continue;
+            }
+            let term = node_digest(node);
+            builder.node_terms.insert(node.id, term);
+            builder.partial = builder.partial.wrapping_add(term);
+            builder
+                .adjacency
+                .insert(node.id, Arc::new(graph.neighbors(node.id)));
+        }
+        for edge in graph.all_edges() {
+            if edge_owner(graph, edge.from, shards) != shard {
+                continue;
+            }
+            let term = edge_digest(edge);
+            builder.edge_terms.insert(edge.id, term);
+            builder.partial = builder.partial.wrapping_add(term);
+        }
+        builder
+    }
+
+    #[test]
+    fn one_pass_seeding_equals_the_per_shard_scan() {
+        let (mut graph, mut search) = demo();
+        // History the seed must see through: deletes (tombstoned slots, a
+        // cascaded edge), renames (ownership migration) and an unnamed node.
+        let m2 = graph.node_by_name("Malware", "emotet").unwrap();
+        graph
+            .set_node_prop(m2, "name", Value::from("heodo"))
+            .unwrap();
+        let f = graph.node_by_name("FileName", "tasksche.exe").unwrap();
+        graph.delete_node(f).unwrap();
+        let anon = graph.create_node("Indicator", [("score", Value::Int(3))]);
+        let t = graph.node_by_name("Technique", "smb exploitation").unwrap();
+        graph.merge_edge(anon, "INDICATES", t).unwrap();
+        graph.merge_edge(t, "RELATED", m2).unwrap();
+        for i in 0..40 {
+            let n = graph.merge_node("Tool", &format!("tool{i}"), [] as [(&str, Value); 0]);
+            graph.merge_edge(m2, "USES", n).unwrap();
+            if i % 3 == 0 {
+                graph
+                    .set_node_prop(n, "name", Value::from(format!("renamed{i}")))
+                    .unwrap();
+            }
+            if i % 7 == 0 {
+                graph.delete_node(n).unwrap();
+            }
+            search.add(n, &format!("tool number {i} dropper"));
+        }
+        for shards in [1usize, 2, 3, 4, 7] {
+            let mut set = ShardSet::new(&mut graph, &search, shards);
+            for (shard, got) in set.builders.iter().enumerate() {
+                let want = reference_seed(&mut graph, shard, shards);
+                assert_eq!(got.partial, want.partial, "{shards} shards, shard {shard}");
+                assert_eq!(got.node_terms, want.node_terms);
+                assert_eq!(got.edge_terms, want.edge_terms);
+                assert_eq!(got.adjacency, want.adjacency);
+            }
+            let snapshots = set.freeze_all(&mut graph, &search);
+            for (shard, snapshot) in snapshots.iter().enumerate() {
+                let want = reference_seed(&mut graph, shard, shards);
+                assert_eq!(snapshot.partial_digest(), want.partial);
+                assert_eq!(snapshot.owned_count(), want.adjacency.len());
+            }
+            let partials = snapshots
+                .iter()
+                .fold(DIGEST_SEED, |acc, s| acc.wrapping_add(s.partial_digest()));
+            assert_eq!(partials, graph.digest());
+        }
     }
 
     #[test]

@@ -47,6 +47,14 @@ if ! grep -q '"correct":true' <<<"$e2e_result" || ! grep -Eq '"failed":0[,}]' <<
     exit 1
 fi
 
+echo "== e2e smoke (restart_serve, 1 s, the benchmark's own oracle) =="
+e2e_result="$(python3 e2ebench/run.py --workload restart_serve --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$e2e_result"
+if ! grep -q '"correct":true' <<<"$e2e_result" || ! grep -Eq '"failed":0[,}]' <<<"$e2e_result"; then
+    echo "e2e smoke: restart_serve must report correct:true with 0 failed operations" >&2
+    exit 1
+fi
+
 echo "== serving stress (elevated readers) =="
 SERVE_STRESS_READERS=8 cargo test -q --test serving
 
