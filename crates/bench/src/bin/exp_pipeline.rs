@@ -16,7 +16,8 @@
 //!
 //! Run: `cargo run -p kg-bench --bin exp_pipeline --release`
 //! Smoke: `cargo run -p kg-bench --bin exp_pipeline --release -- --smoke`
-//! (small corpus, gazetteer extractor, digest check only — the CI cell).
+//! (small corpus, gazetteer extractor, digest check only on the direct and
+//! the wire transport — the CI cells).
 
 use kg_bench::{small_web, standard_web, Table, FOREVER};
 use kg_corpus::SimulatedWeb;
@@ -118,29 +119,30 @@ fn smoke() {
         &PipelineConfig::default(),
     );
     let reference = digest(&seq.connector);
-    let cell = run_cell(
-        "smoke: 4 connect workers",
-        &reports,
-        &registry,
-        &extractor,
-        4,
-        4,
-        false,
-    );
-    println!(
-        "E4 smoke: {} pages, sequential connected {} (digest {reference:016x}), \
-         pipelined connected {} (digest {:016x})",
-        reports.len(),
-        seq.metrics.connected,
-        cell.metrics.connected,
-        cell.digest,
-    );
     assert!(seq.metrics.connected > 0, "smoke corpus connected nothing");
-    assert_eq!(
-        cell.digest, reference,
-        "E4 smoke: pipelined graph digest diverged from sequential"
-    );
-    println!("E4 smoke: digest byte-identical — ok");
+    for (name, serialized) in [
+        ("smoke: 4 connect workers, direct transport", false),
+        ("smoke: 4 connect workers, wire transport", true),
+    ] {
+        let cell = run_cell(name, &reports, &registry, &extractor, 4, 4, serialized);
+        println!(
+            "E4 {name}: {} pages, sequential connected {} (digest {reference:016x}), \
+             pipelined connected {} (digest {:016x})",
+            reports.len(),
+            seq.metrics.connected,
+            cell.metrics.connected,
+            cell.digest,
+        );
+        assert_eq!(
+            cell.metrics.connected, seq.metrics.connected,
+            "E4 {name}: connected count diverged from sequential"
+        );
+        assert_eq!(
+            cell.digest, reference,
+            "E4 {name}: pipelined graph digest diverged from sequential"
+        );
+    }
+    println!("E4 smoke: digest byte-identical on both transports — ok");
 }
 
 fn main() {

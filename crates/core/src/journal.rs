@@ -12,14 +12,17 @@
 //!   [u32 LE payload length][u64 LE FNV-1a of payload][payload: JSON record]
 //! ```
 //!
+//! The frame is `kg_persist`'s ([`encode_frame_into`] / [`decode_frame_at`]),
+//! the same one its segment data files and manifest log use.
+//!
 //! Replay stops at the first frame whose length, checksum or JSON does not
 //! check out and reports how many clean bytes precede it; re-opening for
 //! append truncates the torn tail away. Records are *facts about the past*,
 //! never instructions: recovery correctness comes from the snapshot sidecars
 //! the `Snapshot` markers point at (see DESIGN.md "Failure model & recovery").
 
-use kg_ir::fnv1a64;
-use kg_persist::{FaultHook, PersistError, Vfs};
+use kg_persist::format::{decode_frame_at, encode_frame_into};
+use kg_persist::{FaultHook, PersistError, Vfs, FRAME_HEADER};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -28,13 +31,6 @@ use std::path::{Path, PathBuf};
 
 /// First bytes of every journal file.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"KGJOURN1";
-
-/// Frame header size: u32 length + u64 checksum.
-const FRAME_HEADER: usize = 4 + 8;
-
-/// Upper bound on a single payload; anything larger is treated as torn
-/// (a corrupt length prefix would otherwise ask us to allocate garbage).
-const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 
 /// One journal record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,24 +169,12 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
     let mut offset = JOURNAL_MAGIC.len();
     let mut torn_tail = false;
     while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < FRAME_HEADER {
+        // A short, oversized or checksum-failing frame, or one whose JSON
+        // does not parse, is the torn tail.
+        let Ok((payload, next)) = decode_frame_at(&bytes, offset) else {
             torn_tail = true;
             break;
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        let checksum = u64::from_le_bytes([
-            rest[4], rest[5], rest[6], rest[7], rest[8], rest[9], rest[10], rest[11],
-        ]);
-        if len > MAX_PAYLOAD || rest.len() < FRAME_HEADER + len {
-            torn_tail = true;
-            break;
-        }
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-        if fnv1a64(payload) != checksum {
-            torn_tail = true;
-            break;
-        }
+        };
         match serde_json::from_slice::<JournalRecord>(payload) {
             Ok(record) => records.push(record),
             Err(_) => {
@@ -198,7 +182,7 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
                 break;
             }
         }
-        offset += FRAME_HEADER + len;
+        offset = next;
     }
     Ok(Replay {
         records,
@@ -303,25 +287,20 @@ impl Journal {
     /// need no per-record fsync (group commit).
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
         let payload = serde_json::to_vec(record)?;
+        let mut frame = Vec::new();
+        encode_frame_into(&payload, &mut frame);
         if let Some(limit) = self.crash_after {
             if self.records_written >= limit {
                 if self.crash_torn {
                     // Die mid-write: a frame header promising more payload
                     // than ever arrives.
-                    let mut torn = Vec::new();
-                    torn.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                    torn.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-                    torn.extend_from_slice(&payload[..payload.len() / 2]);
-                    self.file.write_all(&torn)?;
+                    self.file
+                        .write_all(&frame[..FRAME_HEADER + payload.len() / 2])?;
                     self.file.flush()?;
                 }
                 return Err(JournalError::InjectedCrash);
             }
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
         self.vfs.append(&mut self.file, &self.path, &frame)?;
         self.uncommitted += frame.len() as u64;
         self.records_written += 1;
@@ -360,13 +339,7 @@ impl Journal {
         // Find the byte offset of the horizon snapshot's frame.
         let mut offset = JOURNAL_MAGIC.len();
         let mut cut: Option<usize> = None;
-        while offset + FRAME_HEADER <= bytes.len() {
-            let rest = &bytes[offset..];
-            let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-            if len > MAX_PAYLOAD || rest.len() < FRAME_HEADER + len {
-                break;
-            }
-            let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
+        while let Ok((payload, next)) = decode_frame_at(&bytes, offset) {
             if let Ok(JournalRecord::Snapshot { seq, .. }) =
                 serde_json::from_slice::<JournalRecord>(payload)
             {
@@ -375,7 +348,7 @@ impl Journal {
                     break;
                 }
             }
-            offset += FRAME_HEADER + len;
+            offset = next;
         }
         let Some(cut) = cut else {
             return Ok(false); // horizon not found: keep everything

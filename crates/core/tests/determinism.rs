@@ -5,7 +5,8 @@
 //! serialised bytes, hence same fnv1a64 digest — no matter how the work was
 //! scheduled. Sequential baseline, pipelined runs with 1/4/8 resolve
 //! workers, byte-serialised transport, and a crash-interrupted durable
-//! build that replays its journal must all converge on one digest.
+//! build that replays its journal must all converge on one digest — and so
+//! must the whole crawl-then-ingest front end at any crawler thread count.
 
 use securitykg::corpus::{standard_sources, SimulatedWeb, World, WorldConfig};
 use securitykg::crawler::{crawl_all, CrawlState, CrawlerConfig, SchedulerConfig};
@@ -16,7 +17,9 @@ use securitykg::ontology::EntityKind;
 use securitykg::pipeline::{
     run_pipelined, run_sequential, GraphConnector, IocOnlyExtractor, ParserRegistry, PipelineConfig,
 };
-use securitykg::{run_durable, DurableOptions, JournalError, SystemConfig, DEFAULT_START_MS};
+use securitykg::{
+    run_durable, DurableOptions, JournalError, SecurityKg, SystemConfig, DEFAULT_START_MS,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -143,4 +146,31 @@ fn durable_replay_matches_uninterrupted_build() {
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(resumed.kg_digest, reference.kg_digest);
+}
+
+/// Crawl plus pipelined ingest is a pure function of the seed: three runs
+/// each at 1 and 8 crawler threads land on one digest. Report order decides
+/// node ids, so the crawler's thread scheduling must not leak into it.
+#[test]
+fn crawl_and_ingest_is_crawler_thread_count_independent() {
+    let mut runs = Vec::new();
+    for threads in [1usize, 8] {
+        for _ in 0..3 {
+            let mut config = SystemConfig {
+                world: WorldConfig::tiny(0xD49),
+                articles_per_source: 8,
+                seed: 0xD49,
+                ..SystemConfig::default()
+            };
+            config.crawler.threads = threads;
+            let mut kg = SecurityKg::bootstrap_without_ner(&config);
+            let ingest = kg.crawl_and_ingest();
+            assert!(ingest.reports_ingested > 0, "threads={threads}");
+            runs.push((threads, kg.graph().digest()));
+        }
+    }
+    assert!(
+        runs.iter().all(|&(_, digest)| digest == runs[0].1),
+        "digests (threads, digest): {runs:x?}"
+    );
 }

@@ -2,7 +2,8 @@
 //!
 //! Sources are independent, so the natural parallel unit is one source's
 //! crawl cycle. Workers pull source indexes from a shared atomic counter and
-//! push `RawReport`s into a crossbeam channel; the caller drains it. With
+//! each fills that source's slot; the slots are concatenated in source
+//! order, so the output order never depends on thread scheduling. With
 //! `time_dilation = 0` everything is virtual-time and the pool measures pure
 //! software overhead; with a positive dilation the simulated latencies
 //! stretch into real sleeps and the measured reports/minute reproduce the
@@ -11,7 +12,6 @@
 use crate::fetch::{crawl_source, SourceOutcome};
 use crate::state::CrawlState;
 use crate::CrawlerConfig;
-use crossbeam::channel;
 use kg_corpus::SimulatedWeb;
 use kg_ir::RawReport;
 use parking_lot::Mutex;
@@ -72,8 +72,9 @@ impl CrawlMetrics {
 }
 
 /// Crawl every source once with `config.threads` workers, starting at
-/// simulated time `now_ms`. Returns all new raw reports plus metrics;
-/// `state` is updated in place.
+/// simulated time `now_ms`. Returns all new raw reports, in source order
+/// (and fetch order within a source) whatever the thread count, plus
+/// metrics; `state` is updated in place.
 pub fn crawl_all(
     web: &SimulatedWeb,
     state: &mut CrawlState,
@@ -83,51 +84,49 @@ pub fn crawl_all(
     let start = Instant::now();
     let sources = web.sources().to_vec();
     let next_job = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<RawReport>();
-    let metrics = Mutex::new(CrawlMetrics::default());
 
     // Hand each worker its own view into the shared state: extract the
     // per-source states up-front, hand them out by index, and put them back
-    // afterwards (sources are disjoint, so there is no contention).
+    // afterwards (sources are disjoint, so there is no contention). Each
+    // source's outcome lands in its own slot.
     let mut source_states: Vec<crate::state::SourceState> = sources
         .iter()
         .map(|s| std::mem::take(state.source_mut(&s.name)))
         .collect();
+    let outcomes: Vec<Mutex<Option<SourceOutcome>>> =
+        sources.iter().map(|_| Mutex::new(None)).collect();
     {
         let state_slots: Vec<Mutex<&mut crate::state::SourceState>> =
             source_states.iter_mut().map(Mutex::new).collect();
         std::thread::scope(|scope| {
             for _ in 0..config.threads.max(1) {
-                let tx = tx.clone();
                 let next_job = &next_job;
                 let sources = &sources;
                 let state_slots = &state_slots;
-                let metrics = &metrics;
+                let outcomes = &outcomes;
                 scope.spawn(move || loop {
                     let i = next_job.fetch_add(1, Ordering::Relaxed);
                     if i >= sources.len() {
                         break;
                     }
-                    let spec = &sources[i];
                     let mut slot = state_slots[i].lock();
-                    let outcome = crawl_source(web, spec, &mut slot, config, now_ms);
-                    // absorb only reads the counters, so the reports can be
-                    // drained by value and moved into the channel un-cloned.
-                    metrics.lock().absorb(&outcome);
-                    for report in outcome.reports {
-                        let _ = tx.send(report);
-                    }
+                    let outcome = crawl_source(web, &sources[i], &mut slot, config, now_ms);
+                    *outcomes[i].lock() = Some(outcome);
                 });
             }
-            drop(tx);
         });
     }
     for (spec, s) in sources.iter().zip(source_states) {
         *state.source_mut(&spec.name) = s;
     }
 
-    let reports: Vec<RawReport> = rx.try_iter().collect();
-    let mut metrics = metrics.into_inner();
+    let mut metrics = CrawlMetrics::default();
+    let mut reports = Vec::new();
+    for outcome in outcomes.into_iter().filter_map(Mutex::into_inner) {
+        // absorb only reads the counters, so the reports move out un-cloned.
+        metrics.absorb(&outcome);
+        reports.extend(outcome.reports);
+    }
     metrics.wall_ms = start.elapsed().as_millis() as u64;
     (reports, metrics)
 }
@@ -179,6 +178,32 @@ mod tests {
         let (_, m8) = crawl_all(&web, &mut s8, &c8, FOREVER);
         assert_eq!(m1.new_reports, m8.new_reports);
         assert_eq!(s1.total_seen(), s8.total_seen());
+    }
+
+    /// The output order is source order, then fetch order, at any thread
+    /// count: node ids downstream follow it.
+    #[test]
+    fn output_is_in_source_order_at_any_thread_count() {
+        let web = web(6);
+        let source_index = |r: &RawReport| {
+            web.sources()
+                .iter()
+                .position(|s| s.name == r.source_name)
+                .expect("known source")
+        };
+        let mut outputs = Vec::new();
+        for threads in [1usize, 8] {
+            let config = CrawlerConfig {
+                threads,
+                ..CrawlerConfig::default()
+            };
+            let (reports, _) = crawl_all(&web, &mut CrawlState::new(), &config, FOREVER);
+            let order: Vec<usize> = reports.iter().map(source_index).collect();
+            assert!(order.windows(2).all(|w| w[0] <= w[1]), "threads={threads}");
+            outputs.push(reports);
+        }
+        assert!(!outputs[0].is_empty());
+        assert_eq!(outputs[0], outputs[1]);
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!   exactly once ([`GraphStore::collect_changes`]); batches are pruned once
 //!   the slowest cursor has passed them. Incremental digest/adjacency
 //!   maintenance (kg-serve's `EpochBuilder`) is cursor reader #1 and standing
-//!   query subscriptions are reader #2 — neither can starve the other, which
-//!   the old destructive single-consumer `drain_changes()` silently did.
+//!   query subscriptions are reader #2 — neither can starve the other.
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -426,8 +425,6 @@ struct DeltaLog {
     /// cursor id → next sequence number that consumer has not yet read.
     cursors: HashMap<u64, u64>,
     next_cursor_id: u64,
-    /// Cursor lazily registered by the deprecated [`GraphStore::drain_changes`].
-    legacy: Option<DeltaCursor>,
 }
 
 impl DeltaLog {
@@ -1040,43 +1037,6 @@ impl GraphStore {
         out
     }
 
-    /// Take everything touched since the previous drain, merged across seal
-    /// points (sorted, deduplicated). Serviced by a private cursor lazily
-    /// registered at the oldest retained batch, so single-consumer callers
-    /// keep the historical semantics — but a second consumer no longer loses
-    /// deltas to this one.
-    #[deprecated(
-        note = "single-consumer API; use register_delta_consumer + collect_changes instead"
-    )]
-    pub fn drain_changes(&mut self) -> GraphChanges {
-        let cursor = match self.delta.legacy {
-            Some(cursor) => cursor,
-            None => {
-                // Position at the oldest retained batch (not the tail): the
-                // first drain must report everything since the store was
-                // created, as the destructive implementation did.
-                let id = self.delta.next_cursor_id;
-                self.delta.next_cursor_id += 1;
-                self.delta.cursors.insert(id, self.delta.base_seq);
-                let cursor = DeltaCursor(id);
-                self.delta.legacy = Some(cursor);
-                cursor
-            }
-        };
-        let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
-        let mut edges: BTreeMap<EdgeId, (NodeId, NodeId)> = BTreeMap::new();
-        for batch in self.collect_changes(cursor) {
-            nodes.extend(batch.changes.nodes.iter().copied());
-            for &(id, from, to) in &batch.changes.edges {
-                edges.insert(id, (from, to));
-            }
-        }
-        GraphChanges {
-            nodes: nodes.into_iter().collect(),
-            edges: edges.into_iter().map(|(id, (f, t))| (id, f, t)).collect(),
-        }
-    }
-
     /// Elements currently recorded as touched (pending — not yet sealed
     /// into a batch).
     pub fn pending_changes(&self) -> usize {
@@ -1107,12 +1067,11 @@ impl GraphStore {
     }
 
     /// Drop batches every registered cursor has already read. With no
-    /// cursors registered, batches are retained for the lazily registered
-    /// legacy drain cursor (which starts at the oldest retained batch).
+    /// cursors registered, every batch goes: a cursor registered later
+    /// starts at the tail and could never read them.
     fn prune_delta(&mut self) {
-        let Some(min) = self.delta.cursors.values().copied().min() else {
-            return;
-        };
+        let min =
+            (self.delta.cursors.values().copied().min()).unwrap_or_else(|| self.delta.tail_seq());
         while self.delta.base_seq < min && self.delta.batches.pop_front().is_some() {
             self.delta.base_seq += 1;
         }
@@ -1604,37 +1563,46 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn change_tracking_drains_touched_elements() {
         let mut g = GraphStore::new();
         assert_eq!(g.pending_changes(), 0);
+        let cursor = g.register_delta_consumer();
+        // Everything the cursor has not read yet, merged across batches.
+        let drain = |g: &mut GraphStore| {
+            let batches = g.collect_changes(cursor);
+            assert!(batches.len() <= 1, "one seal point per collect");
+            batches
+                .first()
+                .map(|batch| GraphChanges::clone(&batch.changes))
+                .unwrap_or_default()
+        };
         let m = g.create_node("Malware", [("name", Value::from("a"))]);
         let f = g.create_node("FileName", [("name", Value::from("b.exe"))]);
         let e = g
             .create_edge(m, "DROP", f, [] as [(&str, Value); 0])
             .unwrap();
-        let changes = g.drain_changes();
+        let changes = drain(&mut g);
         assert_eq!(changes.nodes, vec![m, f]);
         assert_eq!(changes.edges, vec![(e, m, f)]);
-        assert!(g.drain_changes().is_empty());
+        assert!(drain(&mut g).is_empty());
         // Deleting the node touches it and its edge (endpoints preserved).
         g.delete_node(f).unwrap();
-        let changes = g.drain_changes();
+        let changes = drain(&mut g);
         assert_eq!(changes.nodes, vec![f]);
         assert_eq!(changes.edges, vec![(e, m, f)]);
         // A no-op merge on an existing node does not dirty it.
-        g.drain_changes();
+        drain(&mut g);
         g.merge_node("Malware", "a", [] as [(&str, Value); 0]);
-        assert!(g.drain_changes().is_empty());
+        assert!(drain(&mut g).is_empty());
         // A prop-filling merge does.
         g.merge_node("Malware", "a", [("vendor", Value::from("x"))]);
-        assert_eq!(g.drain_changes().nodes, vec![m]);
+        assert_eq!(drain(&mut g).nodes, vec![m]);
     }
 
-    /// The regression the delta log exists for: with the old destructive
-    /// `drain_changes`, whichever consumer read first emptied the touched-set
-    /// and the other silently saw nothing. Two cursors must each observe
-    /// every change exactly once, regardless of interleaving.
+    /// The regression the delta log exists for: with a destructive
+    /// single-consumer drain, whichever consumer read first emptied the
+    /// touched-set and the other silently saw nothing. Two cursors must each
+    /// observe every change exactly once, regardless of interleaving.
     #[test]
     fn two_interleaved_consumers_each_see_every_change_exactly_once() {
         let mut g = GraphStore::new();
@@ -1721,21 +1689,6 @@ mod tests {
         let rest = g.collect_changes(c);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].changes.nodes, vec![b]);
-    }
-
-    /// The deprecated alias coexists with registered cursors without
-    /// stealing their batches.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_drain_does_not_starve_registered_cursors() {
-        let mut g = GraphStore::new();
-        let c = g.register_delta_consumer();
-        let a = g.create_node("Malware", [("name", Value::from("a"))]);
-        assert_eq!(g.drain_changes().nodes, vec![a]);
-        // The cursor still sees the change the drain consumed for itself.
-        let got = g.collect_changes(c);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].changes.nodes, vec![a]);
     }
 
     /// A fixed graph whose labels, keys and values cover every JSON escape

@@ -1,36 +1,16 @@
 //! The user-provided configuration file (paper §2.1: "the system can be
 //! configured through a user-provided configuration file, which specifies
 //! the set of components to use and the additional parameters ... passed to
-//! these components").
+//! these components"). The components themselves — extractor and connector
+//! — are objects handed to the runners; the file carries their parameters.
 
 use serde::{Deserialize, Serialize};
 
-/// Which extractor battery to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ExtractorChoice {
-    /// CRF NER + relation extraction (the full system).
-    #[default]
-    Ner,
-    /// IOC scanner + gazetteers only (the regex baseline).
-    IocOnly,
-    /// No text extraction (structured fields only).
-    None,
-}
-
-/// Which storage connector to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ConnectorChoice {
-    /// Property graph + keyword index (the default "Neo4j" path).
-    #[default]
-    Graph,
-    /// Flat relational tables (the "SQL connector" alternative).
-    Tabular,
-}
-
 /// Worker counts per parallelisable stage. Missing fields in a config file
-/// take their defaults, so older files without `connect` keep parsing.
+/// take their defaults, so older files without `connect` keep parsing;
+/// unknown fields are errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct StageWorkers {
     pub check: usize,
     pub parse: usize,
@@ -61,14 +41,13 @@ pub struct FaultInjection {
     pub corrupt_port_message: Option<usize>,
 }
 
-/// Full pipeline configuration.
+/// Full pipeline configuration. Missing fields take their defaults;
+/// unknown fields are errors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+#[serde(default, deny_unknown_fields)]
 pub struct PipelineConfig {
     /// Checker threshold: minimum article text length.
     pub checker_min_text_len: usize,
-    pub extractor: ExtractorChoice,
-    pub connector: ConnectorChoice,
     pub workers: StageWorkers,
     /// Bounded channel capacity between stages (backpressure).
     pub channel_capacity: usize,
@@ -89,8 +68,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             checker_min_text_len: 40,
-            extractor: ExtractorChoice::default(),
-            connector: ConnectorChoice::default(),
             workers: StageWorkers::default(),
             channel_capacity: 256,
             serialize_transport: false,
@@ -101,8 +78,9 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Parse from a JSON configuration file's contents. Unknown fields are
-    /// rejected loudly rather than silently ignored.
+    /// Parse from a JSON configuration file's contents. Missing fields take
+    /// their defaults; unknown fields (a misspelled key, or a removed one
+    /// such as `extractor`) are rejected loudly rather than silently ignored.
     pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(text)
     }
@@ -127,10 +105,10 @@ mod tests {
     #[test]
     fn partial_config_fills_defaults() {
         let c = PipelineConfig::from_json(
-            r#"{"extractor": "IocOnly", "workers": {"check": 2, "parse": 2, "extract": 8}}"#,
+            r#"{"checker_min_text_len": 60, "workers": {"check": 2, "parse": 2, "extract": 8}}"#,
         )
         .unwrap();
-        assert_eq!(c.extractor, ExtractorChoice::IocOnly);
+        assert_eq!(c.checker_min_text_len, 60);
         assert_eq!(c.workers.extract, 8);
         // `connect` is absent from the (older-style) file: default applies.
         assert_eq!(c.workers.connect, StageWorkers::default().connect);
@@ -152,7 +130,24 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected() {
-        assert!(PipelineConfig::from_json("{\"extractor\": \"Quantum\"}").is_err());
+        assert!(PipelineConfig::from_json("{\"serialize_transport\": \"Quantum\"}").is_err());
         assert!(PipelineConfig::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected() {
+        for text in [
+            r#"{"chanel_capacity": 8}"#,
+            r#"{"extractor": "IocOnly"}"#,
+            r#"{"connector": "Tabular"}"#,
+            r#"{"workers": {"extract": 8, "resolve": 2}}"#,
+        ] {
+            let err = PipelineConfig::from_json(text).expect_err(text);
+            assert!(err.to_string().contains("unknown field"), "{text}: {err}");
+        }
+        assert_eq!(
+            PipelineConfig::from_json("{}").unwrap(),
+            PipelineConfig::default()
+        );
     }
 }

@@ -5,11 +5,15 @@
 //! different steps in the pipeline, we specify the formats of intermediate
 //! representations and make them serializable."
 //!
-//! Five stages — port → check → parse → extract → connect — joined by
-//! bounded crossbeam channels. Check/parse/extract run configurable worker
-//! counts; port (stateful page grouping) and connect (single-writer storage)
-//! are sequential by construction. With `serialize_transport` every message
-//! crossing a stage boundary round-trips through bytes, measuring the real
+//! Six stages — port → check → parse → extract → resolve → connect — joined
+//! by bounded crossbeam channels. Check/parse/extract/resolve run
+//! configurable worker counts; port (stateful page grouping) and connect
+//! (single-writer storage) are sequential by construction.
+//!
+//! The stage graph is written once, generic over a `Transport` that decides
+//! how a message crosses a boundary: `Direct` moves the value through the
+//! channel (the default), `Wire` encodes it to JSON bytes at the sender and
+//! decodes it at the receiver (`serialize_transport`), measuring the real
 //! cost of the multi-host deployment mode.
 //!
 //! Hardening: a message that cannot cross a boundary (corrupt wire payload,
@@ -278,21 +282,34 @@ struct Shared {
     depths: [DepthCounters; 5],
 }
 
+/// The success counters a report has already bumped when it leaves the
+/// flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Passed {
+    Nothing,
+    /// Counted in `parsed`.
+    Parse,
+    /// Counted in `parsed` and `extracted`.
+    Extract,
+}
+
 impl Shared {
-    /// Dead-letter a message. `rollback` lists the success counters the
-    /// message had already passed (e.g. `parsed`) — decrementing them keeps
-    /// every report at exactly one terminal fate, so the accounting
-    /// invariant survives late failures.
+    /// Dead-letter a message, rolling back the success counters it had
+    /// `passed` — that keeps every report at exactly one terminal fate, so
+    /// the accounting invariant survives late failures.
     fn quarantine(
         &self,
         trace: &TraceLog,
         stage: &'static str,
         source: String,
         error: String,
-        rollback: &[&AtomicUsize],
+        passed: Passed,
     ) {
-        for counter in rollback {
-            counter.fetch_sub(1, Ordering::Relaxed);
+        if passed >= Passed::Parse {
+            self.parsed.fetch_sub(1, Ordering::Relaxed);
+        }
+        if passed >= Passed::Extract {
+            self.extracted.fetch_sub(1, Ordering::Relaxed);
         }
         self.quarantined.fetch_add(1, Ordering::Relaxed);
         {
@@ -434,11 +451,6 @@ impl<'a> WorkerClock<'a> {
     }
 }
 
-/// Best-effort source label for a payload that could not be decoded.
-fn wire_source(bytes: &[u8]) -> String {
-    format!("<wire message, {} bytes>", bytes.len())
-}
-
 /// Human-readable panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -468,7 +480,7 @@ fn connect_one<C: Connector>(
                 "connect",
                 cti.meta.id.as_str().to_owned(),
                 panic_message(payload),
-                &[&shared.parsed, &shared.extracted],
+                Passed::Extract,
             );
             false
         }
@@ -547,7 +559,7 @@ fn apply_one<C: Connector>(
                         "connect",
                         source,
                         panic_message(payload),
-                        &[&shared.parsed, &shared.extracted],
+                        Passed::Extract,
                     );
                     false
                 }
@@ -556,6 +568,100 @@ fn apply_one<C: Connector>(
     };
     clock.item_done();
     usize::from(applied)
+}
+
+// ---------------------------------------------------------------------------
+// Transports
+// ---------------------------------------------------------------------------
+
+/// How a [`Tagged`] message crosses a stage boundary. The stage graph is
+/// generic over it, so each transport compiles to its own copy of the graph.
+trait Transport {
+    /// What travels on a channel that carries `Tagged<T>`.
+    type Msg<T: Send>: Send;
+
+    /// Send one message. On failure the message comes back with the error
+    /// text, so the sender can name the report it quarantines. `poison`
+    /// swaps the payload for undecodable bytes where the payload is bytes
+    /// ([`crate::config::FaultInjection::corrupt_port_message`]).
+    fn send<T: Serialize + Send>(
+        clock: &mut WorkerClock<'_>,
+        tx: &Sender<Self::Msg<T>>,
+        msg: Tagged<T>,
+        poison: bool,
+    ) -> Result<(), (Tagged<T>, String)>;
+
+    /// Open one received message: `Err((source, error))` when it cannot be
+    /// decoded.
+    fn recv<T: Deserialize + Send>(
+        clock: &mut WorkerClock<'_>,
+        msg: Self::Msg<T>,
+    ) -> Result<Tagged<T>, (String, String)>;
+}
+
+/// In-process: the value moves through the channel unchanged.
+struct Direct;
+
+impl Transport for Direct {
+    type Msg<T: Send> = Tagged<T>;
+
+    fn send<T: Serialize + Send>(
+        clock: &mut WorkerClock<'_>,
+        tx: &Sender<Tagged<T>>,
+        msg: Tagged<T>,
+        _poison: bool,
+    ) -> Result<(), (Tagged<T>, String)> {
+        clock
+            .send(tx, msg)
+            .map_err(|SendError(lost)| (lost, STAGE_GONE.to_owned()))
+    }
+
+    fn recv<T: Deserialize + Send>(
+        _clock: &mut WorkerClock<'_>,
+        msg: Tagged<T>,
+    ) -> Result<Tagged<T>, (String, String)> {
+        Ok(msg)
+    }
+}
+
+/// Multi-host: JSON bytes, encoded by the sender and decoded by the
+/// receiver, as stages on separate hosts would exchange them.
+struct Wire;
+
+impl Transport for Wire {
+    type Msg<T: Send> = Vec<u8>;
+
+    fn send<T: Serialize + Send>(
+        clock: &mut WorkerClock<'_>,
+        tx: &Sender<Vec<u8>>,
+        msg: Tagged<T>,
+        poison: bool,
+    ) -> Result<(), (Tagged<T>, String)> {
+        let mut bytes = match clock.busy(|| serde_json::to_vec(&msg)) {
+            Ok(bytes) => bytes,
+            Err(e) => return Err((msg, e.to_string())),
+        };
+        if poison {
+            bytes.clear();
+            bytes.extend_from_slice(b"\xffpoison");
+        }
+        match clock.send(tx, bytes) {
+            Ok(()) => Ok(()),
+            Err(_) => Err((msg, STAGE_GONE.to_owned())),
+        }
+    }
+
+    fn recv<T: Deserialize + Send>(
+        clock: &mut WorkerClock<'_>,
+        bytes: Vec<u8>,
+    ) -> Result<Tagged<T>, (String, String)> {
+        clock.busy(|| serde_json::from_slice(&bytes)).map_err(|e| {
+            (
+                format!("<wire message, {} bytes>", bytes.len()),
+                e.to_string(),
+            )
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -571,51 +677,30 @@ pub fn run_pipelined<C: Connector>(
     config: &PipelineConfig,
 ) -> PipelineOutput<C> {
     let start = Instant::now();
-    let mut metrics = PipelineMetrics {
-        input_pages: reports.len(),
-        ..Default::default()
-    };
-    let checker = DefaultChecker {
-        min_text_len: config.checker_min_text_len,
-    };
-    let cap = config.channel_capacity.max(1);
+    let input_pages = reports.len();
     let trace = TraceLog::new();
     let shared = Shared::default();
-    let sampler_done = AtomicBool::new(0 == 1);
-    let resolver = connector.resolver();
-
-    let connected = if config.serialize_transport {
-        run_serialized(
-            reports,
-            registry,
-            extractor,
-            &mut connector,
-            &resolver,
-            config,
-            &checker,
-            cap,
-            &shared,
-            &trace,
-            &sampler_done,
-        )
+    let run = if config.serialize_transport {
+        run_graph::<Wire, C>
     } else {
-        run_direct(
-            reports,
-            registry,
-            extractor,
-            &mut connector,
-            &resolver,
-            config,
-            &checker,
-            cap,
-            &shared,
-            &trace,
-            &sampler_done,
-        )
+        run_graph::<Direct, C>
     };
+    let connected = run(
+        reports,
+        registry,
+        extractor,
+        &mut connector,
+        config,
+        &shared,
+        &trace,
+    );
 
+    let mut metrics = PipelineMetrics {
+        input_pages,
+        connected,
+        ..Default::default()
+    };
     shared.fill_metrics(&mut metrics);
-    metrics.connected = connected;
     let wall = start.elapsed();
     metrics.wall_us = wall.as_micros() as u64;
     metrics.wall_ms = wall.as_millis() as u64;
@@ -649,75 +734,144 @@ fn spawn_sampler<'scope, 'env>(
     });
 }
 
-/// The byte-serialised transport mode: every boundary crossing round-trips
-/// through JSON, as a multi-host deployment would.
-#[allow(clippy::too_many_arguments)]
-fn run_serialized<C: Connector>(
+/// Boxed closure sampling one receiver's backlog.
+fn probe<'a, T>(rx: &Receiver<T>) -> Box<dyn Fn() -> usize + Send + 'a>
+where
+    T: Send + 'a,
+{
+    let rx = rx.clone();
+    Box::new(move || rx.len())
+}
+
+/// One parallel stage: its place in the accounting and its worker count.
+struct Stage<'a, O> {
+    name: &'static str,
+    workers: usize,
+    counters: &'a StageCounters,
+    /// Success counters a report has bumped when it arrives here...
+    arrives: Passed,
+    /// ...and when it leaves.
+    leaves: Passed,
+    /// The report an output item carries, for quarantine records.
+    id: fn(&O) -> &str,
+}
+
+/// Spawn one parallel stage's workers. Each opens what arrives on `rx`,
+/// runs `step` on every item and forwards its result, or a Gone marker
+/// where `step` ended the report; Gone markers pass straight through.
+fn spawn_stage<'scope, X, I, O, F>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    shared: &'scope Shared,
+    trace: &'scope TraceLog,
+    stage: Stage<'scope, O>,
+    rx: Receiver<X::Msg<I>>,
+    tx: Sender<X::Msg<O>>,
+    step: F,
+) where
+    X: Transport,
+    I: Deserialize + Send,
+    O: Serialize + Send + 'scope,
+    X::Msg<I>: 'scope,
+    X::Msg<O>: 'scope,
+    F: Fn(u64, I, &mut WorkerClock<'scope>) -> Option<O> + Copy + Send + 'scope,
+{
+    let Stage {
+        name,
+        workers,
+        counters,
+        arrives,
+        leaves,
+        id,
+    } = stage;
+    for worker in 0..workers.max(1) {
+        let (rx, tx) = (rx.clone(), tx.clone());
+        scope.spawn(move || {
+            let mut clock = WorkerClock::start(name, worker, counters, trace);
+            while let Ok(msg) = clock.blocked(|| rx.recv()) {
+                match X::recv(&mut clock, msg) {
+                    Ok(Tagged::Item { seq, item }) => {
+                        let out = match step(seq, item, &mut clock) {
+                            Some(item) => Tagged::Item { seq, item },
+                            None => Tagged::Gone { seq },
+                        };
+                        if let Err((Tagged::Item { item, .. }, error)) =
+                            X::send(&mut clock, &tx, out, false)
+                        {
+                            shared.quarantine(trace, name, id(&item).to_owned(), error, leaves);
+                        }
+                        clock.item_done();
+                    }
+                    Ok(Tagged::Gone { seq }) => {
+                        let _ = X::send(&mut clock, &tx, Tagged::Gone { seq }, false);
+                    }
+                    Err((source, error)) => shared.quarantine(trace, name, source, error, arrives),
+                }
+            }
+            clock.finish();
+        });
+    }
+}
+
+fn report_id(report: &IntermediateReport) -> &str {
+    report.id.as_str()
+}
+
+fn cti_id(cti: &IntermediateCti) -> &str {
+    cti.meta.id.as_str()
+}
+
+/// The stage graph, written once for both transports: port → check →
+/// parse → extract → resolve → connect. Returns how many reports connected.
+fn run_graph<X: Transport, C: Connector>(
     reports: Vec<RawReport>,
     registry: &ParserRegistry,
     extractor: &dyn Extractor,
     connector: &mut C,
-    resolver: &Option<Arc<dyn CtiResolver>>,
     config: &PipelineConfig,
-    checker: &DefaultChecker,
-    cap: usize,
     shared: &Shared,
     trace: &TraceLog,
-    sampler_done: &AtomicBool,
 ) -> usize {
-    let (tx_report, rx_report) = bounded::<Vec<u8>>(cap);
-    let (tx_checked, rx_checked) = bounded::<Vec<u8>>(cap);
-    let (tx_cti, rx_cti) = bounded::<Vec<u8>>(cap);
-    let (tx_extracted, rx_extracted) = bounded::<Vec<u8>>(cap);
-    let (tx_final, rx_final) = bounded::<Vec<u8>>(cap);
-    let fault = config.fault;
+    let checker = DefaultChecker {
+        min_text_len: config.checker_min_text_len,
+    };
+    let resolver = connector.resolver();
+    let (checker, resolver) = (&checker, &resolver);
+    let workers = config.workers;
+    let poison_at = config.fault.corrupt_port_message;
+    let cap = config.channel_capacity.max(1);
+    let (tx_report, rx_report) = bounded::<X::Msg<IntermediateReport>>(cap);
+    let (tx_checked, rx_checked) = bounded::<X::Msg<IntermediateReport>>(cap);
+    let (tx_cti, rx_cti) = bounded::<X::Msg<IntermediateCti>>(cap);
+    let (tx_extracted, rx_extracted) = bounded::<X::Msg<IntermediateCti>>(cap);
+    let (tx_final, rx_final) = bounded::<X::Msg<Resolved>>(cap);
+    let sampler_done = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let probes: Vec<Box<dyn Fn() -> usize + Send + '_>> = vec![
+        let probes = vec![
             probe(&rx_report),
             probe(&rx_checked),
             probe(&rx_cti),
             probe(&rx_extracted),
             probe(&rx_final),
         ];
-        spawn_sampler(scope, probes, shared, sampler_done);
+        spawn_sampler(scope, probes, shared, &sampler_done);
 
-        // Port.
+        // Port: groups pages into reports and stamps each with its sequence
+        // number.
         scope.spawn(move || {
             let mut clock = WorkerClock::start("port", 0, &shared.port, trace);
             let mut porter = DefaultPorter::new();
-            let mut emitted = 0usize;
             let mut seq = 0u64;
             let mut emit = |report: IntermediateReport, clock: &mut WorkerClock<'_>| {
                 shared.ported.fetch_add(1, Ordering::Relaxed);
-                let tagged = Tagged::Item { seq, item: report };
+                let poison = poison_at == Some(seq as usize);
+                let msg = Tagged::Item { seq, item: report };
+                if let Err((Tagged::Item { item, .. }, error)) =
+                    X::send(clock, &tx_report, msg, poison)
+                {
+                    let source = item.id.as_str().to_owned();
+                    shared.quarantine(trace, "port", source, error, Passed::Nothing);
+                }
                 seq += 1;
-                let mut bytes = match clock.busy(|| serde_json::to_vec(&tagged)) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        shared.quarantine(
-                            trace,
-                            "port",
-                            tagged.report_id().to_owned(),
-                            e.to_string(),
-                            &[],
-                        );
-                        return;
-                    }
-                };
-                if fault.corrupt_port_message == Some(emitted) {
-                    bytes.clear();
-                    bytes.extend_from_slice(b"\xffpoison");
-                }
-                emitted += 1;
-                if clock.send(&tx_report, bytes).is_err() {
-                    shared.quarantine(
-                        trace,
-                        "port",
-                        tagged.report_id().to_owned(),
-                        STAGE_GONE.to_owned(),
-                        &[],
-                    );
-                }
                 clock.item_done();
             };
             for raw in reports {
@@ -731,205 +885,111 @@ fn run_serialized<C: Connector>(
             clock.finish();
         });
 
-        // Check.
-        for worker in 0..config.workers.check.max(1) {
-            let rx = rx_report.clone();
-            let tx = tx_checked.clone();
-            scope.spawn(move || {
-                let mut clock = WorkerClock::start("check", worker, &shared.check, trace);
-                while let Ok(bytes) = clock.blocked(|| rx.recv()) {
-                    match clock
-                        .busy(|| serde_json::from_slice::<Tagged<IntermediateReport>>(&bytes))
-                    {
-                        Ok(Tagged::Item { seq, item: report }) => {
-                            if clock.busy(|| checker.check(&report)) {
-                                forward_wire(
-                                    &mut clock,
-                                    &tx,
-                                    &Tagged::Item { seq, item: report },
-                                    "check",
-                                    shared,
-                                    trace,
-                                    &[],
-                                );
-                            } else {
-                                shared.screened.fetch_add(1, Ordering::Relaxed);
-                                forward_gone_wire::<IntermediateReport>(&mut clock, &tx, seq);
-                            }
-                            clock.item_done();
-                        }
-                        Ok(Tagged::Gone { seq }) => {
-                            forward_gone_wire::<IntermediateReport>(&mut clock, &tx, seq);
-                        }
-                        Err(e) => shared.quarantine(
-                            trace,
-                            "check",
-                            wire_source(&bytes),
-                            e.to_string(),
-                            &[],
-                        ),
-                    }
+        let check = Stage {
+            name: "check",
+            workers: workers.check,
+            counters: &shared.check,
+            arrives: Passed::Nothing,
+            leaves: Passed::Nothing,
+            id: report_id,
+        };
+        spawn_stage::<X, _, _, _>(
+            scope,
+            shared,
+            trace,
+            check,
+            rx_report,
+            tx_checked,
+            |_, report, clock| {
+                if clock.busy(|| checker.check(&report)) {
+                    Some(report)
+                } else {
+                    shared.screened.fetch_add(1, Ordering::Relaxed);
+                    None
                 }
-                clock.finish();
-            });
-        }
-        drop(rx_report);
-        drop(tx_checked);
+            },
+        );
 
-        // Parse.
-        for worker in 0..config.workers.parse.max(1) {
-            let rx = rx_checked.clone();
-            let tx = tx_cti.clone();
-            scope.spawn(move || {
-                let mut clock = WorkerClock::start("parse", worker, &shared.parse, trace);
-                while let Ok(bytes) = clock.blocked(|| rx.recv()) {
-                    match clock
-                        .busy(|| serde_json::from_slice::<Tagged<IntermediateReport>>(&bytes))
-                    {
-                        Ok(Tagged::Item { seq, item: report }) => {
-                            match clock.busy(|| registry.parse(&report)) {
-                                Ok(cti) => {
-                                    shared.parsed.fetch_add(1, Ordering::Relaxed);
-                                    forward_wire(
-                                        &mut clock,
-                                        &tx,
-                                        &Tagged::Item { seq, item: cti },
-                                        "parse",
-                                        shared,
-                                        trace,
-                                        &[&shared.parsed],
-                                    );
-                                }
-                                Err(_) => {
-                                    shared.parse_errors.fetch_add(1, Ordering::Relaxed);
-                                    forward_gone_wire::<IntermediateCti>(&mut clock, &tx, seq);
-                                }
-                            }
-                            clock.item_done();
-                        }
-                        Ok(Tagged::Gone { seq }) => {
-                            forward_gone_wire::<IntermediateCti>(&mut clock, &tx, seq);
-                        }
-                        Err(e) => shared.quarantine(
-                            trace,
-                            "parse",
-                            wire_source(&bytes),
-                            e.to_string(),
-                            &[],
-                        ),
-                    }
+        let parse = Stage {
+            name: "parse",
+            workers: workers.parse,
+            counters: &shared.parse,
+            arrives: Passed::Nothing,
+            leaves: Passed::Parse,
+            id: cti_id,
+        };
+        spawn_stage::<X, IntermediateReport, _, _>(
+            scope,
+            shared,
+            trace,
+            parse,
+            rx_checked,
+            tx_cti,
+            |_, report, clock| match clock.busy(|| registry.parse(&report)) {
+                Ok(cti) => {
+                    shared.parsed.fetch_add(1, Ordering::Relaxed);
+                    Some(cti)
                 }
-                clock.finish();
-            });
-        }
-        drop(rx_checked);
-        drop(tx_cti);
+                Err(_) => {
+                    shared.parse_errors.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+            },
+        );
 
-        // Extract.
-        for worker in 0..config.workers.extract.max(1) {
-            let rx = rx_cti.clone();
-            let tx = tx_extracted.clone();
-            scope.spawn(move || {
-                let mut clock = WorkerClock::start("extract", worker, &shared.extract, trace);
-                while let Ok(bytes) = clock.blocked(|| rx.recv()) {
-                    match clock.busy(|| serde_json::from_slice::<Tagged<IntermediateCti>>(&bytes)) {
-                        Ok(Tagged::Item { seq, item: mut cti }) => {
-                            clock.busy(|| extractor.extract(&mut cti));
-                            shared.extracted.fetch_add(1, Ordering::Relaxed);
-                            forward_wire(
-                                &mut clock,
-                                &tx,
-                                &Tagged::Item { seq, item: cti },
-                                "extract",
-                                shared,
-                                trace,
-                                &[&shared.parsed, &shared.extracted],
-                            );
-                            clock.item_done();
-                        }
-                        Ok(Tagged::Gone { seq }) => {
-                            forward_gone_wire::<IntermediateCti>(&mut clock, &tx, seq);
-                        }
-                        Err(e) => shared.quarantine(
-                            trace,
-                            "extract",
-                            wire_source(&bytes),
-                            e.to_string(),
-                            &[&shared.parsed],
-                        ),
-                    }
-                }
-                clock.finish();
-            });
-        }
-        drop(rx_cti);
-        drop(tx_extracted);
+        let extract = Stage {
+            name: "extract",
+            workers: workers.extract,
+            counters: &shared.extract,
+            arrives: Passed::Parse,
+            leaves: Passed::Extract,
+            id: cti_id,
+        };
+        spawn_stage::<X, IntermediateCti, _, _>(
+            scope,
+            shared,
+            trace,
+            extract,
+            rx_cti,
+            tx_extracted,
+            |_, mut cti, clock| {
+                clock.busy(|| extractor.extract(&mut cti));
+                shared.extracted.fetch_add(1, Ordering::Relaxed);
+                Some(cti)
+            },
+        );
 
         // Resolve: the parallel half of the split connector. With a
         // resolver, each worker turns a CTI into a self-contained delta;
         // without one, items pass through for the writer's classic path.
-        for worker in 0..config.workers.connect.max(1) {
-            let rx = rx_extracted.clone();
-            let tx = tx_final.clone();
-            let resolver = resolver.clone();
-            scope.spawn(move || {
-                let mut clock = WorkerClock::start("resolve", worker, &shared.resolve, trace);
-                while let Ok(bytes) = clock.blocked(|| rx.recv()) {
-                    match clock.busy(|| serde_json::from_slice::<Tagged<IntermediateCti>>(&bytes)) {
-                        Ok(Tagged::Item { seq, item: cti }) => {
-                            match resolve_item(&resolver, seq, cti, shared, trace, &mut clock) {
-                                Some(resolved) => forward_wire(
-                                    &mut clock,
-                                    &tx,
-                                    &Tagged::Item {
-                                        seq,
-                                        item: resolved,
-                                    },
-                                    "resolve",
-                                    shared,
-                                    trace,
-                                    &[&shared.parsed, &shared.extracted],
-                                ),
-                                None => {
-                                    forward_gone_wire::<Resolved>(&mut clock, &tx, seq);
-                                }
-                            }
-                            clock.item_done();
-                        }
-                        Ok(Tagged::Gone { seq }) => {
-                            forward_gone_wire::<Resolved>(&mut clock, &tx, seq);
-                        }
-                        Err(e) => shared.quarantine(
-                            trace,
-                            "resolve",
-                            wire_source(&bytes),
-                            e.to_string(),
-                            &[&shared.parsed, &shared.extracted],
-                        ),
-                    }
-                }
-                clock.finish();
-            });
-        }
-        drop(rx_extracted);
-        drop(tx_final);
+        let resolve = Stage {
+            name: "resolve",
+            workers: workers.connect,
+            counters: &shared.resolve,
+            arrives: Passed::Extract,
+            leaves: Passed::Extract,
+            id: Resolved::report_id,
+        };
+        spawn_stage::<X, IntermediateCti, _, _>(
+            scope,
+            shared,
+            trace,
+            resolve,
+            rx_extracted,
+            tx_final,
+            |seq, cti, clock| resolve_item(resolver, seq, cti, shared, trace, clock),
+        );
 
         // Connect: the single writer, applying in sequence order.
         let mut clock = WorkerClock::start("connect", 0, &shared.connect, trace);
         let mut writer = SeqWriter::<Resolved>::new();
         let mut connected = 0usize;
-        while let Ok(bytes) = clock.blocked(|| rx_final.recv()) {
-            match clock.busy(|| serde_json::from_slice::<Tagged<Resolved>>(&bytes)) {
+        while let Ok(msg) = clock.blocked(|| rx_final.recv()) {
+            match X::recv(&mut clock, msg) {
                 Ok(Tagged::Item { seq, item }) => writer.insert(seq, Some(item)),
                 Ok(Tagged::Gone { seq }) => writer.insert(seq, None),
-                Err(e) => {
-                    shared.quarantine(
-                        trace,
-                        "connect",
-                        wire_source(&bytes),
-                        e.to_string(),
-                        &[&shared.parsed, &shared.extracted],
-                    );
+                Err((source, error)) => {
+                    shared.quarantine(trace, "connect", source, error, Passed::Extract);
                     continue;
                 }
             }
@@ -970,345 +1030,13 @@ fn resolve_item(
                     "resolve",
                     cti.meta.id.as_str().to_owned(),
                     panic_message(payload),
-                    &[&shared.parsed, &shared.extracted],
+                    Passed::Extract,
                 );
                 None
             }
         },
         None => Some(Resolved::Cti(cti)),
     }
-}
-
-/// Serialise and send one message; serialisation or send failure routes the
-/// report to quarantine (rolling back the success counters it had passed).
-fn forward_wire<T: serde::Serialize + HasReportId>(
-    clock: &mut WorkerClock<'_>,
-    tx: &Sender<Vec<u8>>,
-    value: &T,
-    stage: &'static str,
-    shared: &Shared,
-    trace: &TraceLog,
-    rollback: &[&AtomicUsize],
-) {
-    match clock.busy(|| serde_json::to_vec(value)) {
-        Ok(bytes) => {
-            if clock.send(tx, bytes).is_err() {
-                shared.quarantine(
-                    trace,
-                    stage,
-                    value.report_id().to_owned(),
-                    STAGE_GONE.to_owned(),
-                    rollback,
-                );
-            }
-        }
-        Err(e) => shared.quarantine(
-            trace,
-            stage,
-            value.report_id().to_owned(),
-            e.to_string(),
-            rollback,
-        ),
-    }
-}
-
-/// Serialise and send a Gone marker. A send failure means the downstream
-/// stage is dead and the run is shutting down; the report the marker stood
-/// for has already reached its terminal fate, so there is nothing to roll
-/// back.
-fn forward_gone_wire<T: serde::Serialize>(
-    clock: &mut WorkerClock<'_>,
-    tx: &Sender<Vec<u8>>,
-    seq: u64,
-) {
-    let bytes = serde_json::to_vec(&Tagged::<T>::Gone { seq }).expect("gone marker serialises");
-    let _ = clock.send(tx, bytes);
-}
-
-/// The report id carried by a wire message, for quarantine records.
-trait HasReportId {
-    fn report_id(&self) -> &str;
-}
-
-impl HasReportId for IntermediateReport {
-    fn report_id(&self) -> &str {
-        self.id.as_str()
-    }
-}
-
-impl HasReportId for IntermediateCti {
-    fn report_id(&self) -> &str {
-        self.meta.id.as_str()
-    }
-}
-
-impl HasReportId for Resolved {
-    fn report_id(&self) -> &str {
-        Resolved::report_id(self)
-    }
-}
-
-impl<T: HasReportId> HasReportId for Tagged<T> {
-    fn report_id(&self) -> &str {
-        match self {
-            Tagged::Item { item, .. } => item.report_id(),
-            Tagged::Gone { .. } => "<gone marker>",
-        }
-    }
-}
-
-/// Boxed closure sampling one receiver's backlog.
-fn probe<'a, T>(rx: &Receiver<T>) -> Box<dyn Fn() -> usize + Send + 'a>
-where
-    T: Send + 'a,
-{
-    let rx = rx.clone();
-    Box::new(move || rx.len())
-}
-
-/// The in-process transport mode: typed channels, no serialisation.
-#[allow(clippy::too_many_arguments)]
-fn run_direct<C: Connector>(
-    reports: Vec<RawReport>,
-    registry: &ParserRegistry,
-    extractor: &dyn Extractor,
-    connector: &mut C,
-    resolver: &Option<Arc<dyn CtiResolver>>,
-    config: &PipelineConfig,
-    checker: &DefaultChecker,
-    cap: usize,
-    shared: &Shared,
-    trace: &TraceLog,
-    sampler_done: &AtomicBool,
-) -> usize {
-    let (tx_report, rx_report) = bounded::<Tagged<IntermediateReport>>(cap);
-    let (tx_checked, rx_checked) = bounded::<Tagged<IntermediateReport>>(cap);
-    let (tx_cti, rx_cti) = bounded::<Tagged<IntermediateCti>>(cap);
-    let (tx_extracted, rx_extracted) = bounded::<Tagged<IntermediateCti>>(cap);
-    let (tx_final, rx_final) = bounded::<Tagged<Resolved>>(cap);
-    std::thread::scope(|scope| {
-        let probes: Vec<Box<dyn Fn() -> usize + Send + '_>> = vec![
-            probe(&rx_report),
-            probe(&rx_checked),
-            probe(&rx_cti),
-            probe(&rx_extracted),
-            probe(&rx_final),
-        ];
-        spawn_sampler(scope, probes, shared, sampler_done);
-
-        // Port.
-        scope.spawn(move || {
-            let mut clock = WorkerClock::start("port", 0, &shared.port, trace);
-            let mut porter = DefaultPorter::new();
-            let mut seq = 0u64;
-            let mut emit = |report: IntermediateReport, clock: &mut WorkerClock<'_>| {
-                shared.ported.fetch_add(1, Ordering::Relaxed);
-                let tagged = Tagged::Item { seq, item: report };
-                seq += 1;
-                if let Err(SendError(lost)) = clock.send(&tx_report, tagged) {
-                    shared.quarantine(
-                        trace,
-                        "port",
-                        lost.report_id().to_owned(),
-                        STAGE_GONE.to_owned(),
-                        &[],
-                    );
-                }
-                clock.item_done();
-            };
-            for raw in reports {
-                if let Some(report) = clock.busy(|| porter.feed(raw)) {
-                    emit(report, &mut clock);
-                }
-            }
-            for report in clock.busy(|| porter.flush()) {
-                emit(report, &mut clock);
-            }
-            clock.finish();
-        });
-
-        // Check.
-        for worker in 0..config.workers.check.max(1) {
-            let rx = rx_report.clone();
-            let tx = tx_checked.clone();
-            scope.spawn(move || {
-                let mut clock = WorkerClock::start("check", worker, &shared.check, trace);
-                while let Ok(msg) = clock.blocked(|| rx.recv()) {
-                    match msg {
-                        Tagged::Item { seq, item: report } => {
-                            if clock.busy(|| checker.check(&report)) {
-                                if let Err(SendError(lost)) =
-                                    clock.send(&tx, Tagged::Item { seq, item: report })
-                                {
-                                    shared.quarantine(
-                                        trace,
-                                        "check",
-                                        lost.report_id().to_owned(),
-                                        STAGE_GONE.to_owned(),
-                                        &[],
-                                    );
-                                }
-                            } else {
-                                shared.screened.fetch_add(1, Ordering::Relaxed);
-                                let _ = clock.send(&tx, Tagged::Gone { seq });
-                            }
-                            clock.item_done();
-                        }
-                        Tagged::Gone { seq } => {
-                            let _ = clock.send(&tx, Tagged::Gone { seq });
-                        }
-                    }
-                }
-                clock.finish();
-            });
-        }
-        drop(rx_report);
-        drop(tx_checked);
-
-        // Parse.
-        for worker in 0..config.workers.parse.max(1) {
-            let rx = rx_checked.clone();
-            let tx = tx_cti.clone();
-            scope.spawn(move || {
-                let mut clock = WorkerClock::start("parse", worker, &shared.parse, trace);
-                while let Ok(msg) = clock.blocked(|| rx.recv()) {
-                    match msg {
-                        Tagged::Item { seq, item: report } => {
-                            match clock.busy(|| registry.parse(&report)) {
-                                Ok(cti) => {
-                                    shared.parsed.fetch_add(1, Ordering::Relaxed);
-                                    if let Err(SendError(lost)) =
-                                        clock.send(&tx, Tagged::Item { seq, item: cti })
-                                    {
-                                        shared.quarantine(
-                                            trace,
-                                            "parse",
-                                            lost.report_id().to_owned(),
-                                            STAGE_GONE.to_owned(),
-                                            &[&shared.parsed],
-                                        );
-                                    }
-                                }
-                                Err(_) => {
-                                    shared.parse_errors.fetch_add(1, Ordering::Relaxed);
-                                    let _ = clock.send(&tx, Tagged::Gone { seq });
-                                }
-                            }
-                            clock.item_done();
-                        }
-                        Tagged::Gone { seq } => {
-                            let _ = clock.send(&tx, Tagged::Gone { seq });
-                        }
-                    }
-                }
-                clock.finish();
-            });
-        }
-        drop(rx_checked);
-        drop(tx_cti);
-
-        // Extract.
-        for worker in 0..config.workers.extract.max(1) {
-            let rx = rx_cti.clone();
-            let tx = tx_extracted.clone();
-            scope.spawn(move || {
-                let mut clock = WorkerClock::start("extract", worker, &shared.extract, trace);
-                while let Ok(msg) = clock.blocked(|| rx.recv()) {
-                    match msg {
-                        Tagged::Item { seq, item: mut cti } => {
-                            clock.busy(|| extractor.extract(&mut cti));
-                            shared.extracted.fetch_add(1, Ordering::Relaxed);
-                            if let Err(SendError(lost)) =
-                                clock.send(&tx, Tagged::Item { seq, item: cti })
-                            {
-                                shared.quarantine(
-                                    trace,
-                                    "extract",
-                                    lost.report_id().to_owned(),
-                                    STAGE_GONE.to_owned(),
-                                    &[&shared.parsed, &shared.extracted],
-                                );
-                            }
-                            clock.item_done();
-                        }
-                        Tagged::Gone { seq } => {
-                            let _ = clock.send(&tx, Tagged::Gone { seq });
-                        }
-                    }
-                }
-                clock.finish();
-            });
-        }
-        drop(rx_cti);
-        drop(tx_extracted);
-
-        // Resolve: the parallel half of the split connector.
-        for worker in 0..config.workers.connect.max(1) {
-            let rx = rx_extracted.clone();
-            let tx = tx_final.clone();
-            let resolver = resolver.clone();
-            scope.spawn(move || {
-                let mut clock = WorkerClock::start("resolve", worker, &shared.resolve, trace);
-                while let Ok(msg) = clock.blocked(|| rx.recv()) {
-                    match msg {
-                        Tagged::Item { seq, item: cti } => {
-                            match resolve_item(&resolver, seq, cti, shared, trace, &mut clock) {
-                                Some(resolved) => {
-                                    if let Err(SendError(lost)) = clock.send(
-                                        &tx,
-                                        Tagged::Item {
-                                            seq,
-                                            item: resolved,
-                                        },
-                                    ) {
-                                        shared.quarantine(
-                                            trace,
-                                            "resolve",
-                                            lost.report_id().to_owned(),
-                                            STAGE_GONE.to_owned(),
-                                            &[&shared.parsed, &shared.extracted],
-                                        );
-                                    }
-                                }
-                                None => {
-                                    let _ = clock.send(&tx, Tagged::Gone { seq });
-                                }
-                            }
-                            clock.item_done();
-                        }
-                        Tagged::Gone { seq } => {
-                            let _ = clock.send(&tx, Tagged::Gone { seq });
-                        }
-                    }
-                }
-                clock.finish();
-            });
-        }
-        drop(rx_extracted);
-        drop(tx_final);
-
-        // Connect: the single writer, applying in sequence order.
-        let mut clock = WorkerClock::start("connect", 0, &shared.connect, trace);
-        let mut writer = SeqWriter::<Resolved>::new();
-        let mut connected = 0usize;
-        while let Ok(msg) = clock.blocked(|| rx_final.recv()) {
-            match msg {
-                Tagged::Item { seq, item } => writer.insert(seq, Some(item)),
-                Tagged::Gone { seq } => writer.insert(seq, None),
-            }
-            while let Some(entry) = writer.pop_ready() {
-                if let Some(resolved) = entry {
-                    connected += apply_one(connector, resolved, shared, trace, &mut clock);
-                }
-            }
-        }
-        for resolved in writer.drain().flatten() {
-            connected += apply_one(connector, resolved, shared, trace, &mut clock);
-        }
-        clock.finish();
-        sampler_done.store(true, Ordering::Relaxed);
-        connected
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1618,35 +1346,69 @@ mod tests {
         }
     }
 
+    /// The two transports run one stage graph, so every counter, every
+    /// stage's item count and the graph itself must agree — with and
+    /// without a resolver (delta vs passthrough messages on the wire).
     #[test]
     fn serialized_transport_agrees_with_direct() {
+        use kg_fusion::ResolverConfig;
         let reports = crawled_reports();
         let registry = ParserRegistry::new();
         let extractor = ioc_extractor();
-        let direct = run_pipelined(
-            reports.clone(),
-            &registry,
-            &extractor,
-            GraphConnector::new(),
-            &PipelineConfig::default(),
-        );
-        let serialized = run_pipelined(
-            reports,
-            &registry,
-            &extractor,
-            GraphConnector::new(),
-            &PipelineConfig {
-                serialize_transport: true,
-                ..PipelineConfig::default()
-            },
-        );
-        assert_eq!(direct.metrics.connected, serialized.metrics.connected);
-        assert_eq!(serialized.metrics.quarantined, 0);
-        assert!(serialized.metrics.accounting_balanced());
-        assert_eq!(
-            direct.connector.graph.node_count(),
-            serialized.connector.graph.node_count()
-        );
+        let connector = |fused: bool| {
+            if fused {
+                GraphConnector::with_resolver(ResolverConfig::standard())
+            } else {
+                GraphConnector::new()
+            }
+        };
+        for fused in [false, true] {
+            for connect_workers in [1usize, 4] {
+                let run = |serialize_transport: bool| {
+                    let config = PipelineConfig {
+                        workers: StageWorkers {
+                            connect: connect_workers,
+                            ..StageWorkers::default()
+                        },
+                        serialize_transport,
+                        ..PipelineConfig::default()
+                    };
+                    run_pipelined(
+                        reports.clone(),
+                        &registry,
+                        &extractor,
+                        connector(fused),
+                        &config,
+                    )
+                };
+                let (direct, wire) = (run(false), run(true));
+                let ctx = format!("fused={fused} connect={connect_workers}");
+                let counters = |m: &PipelineMetrics| {
+                    [
+                        m.ported,
+                        m.screened_out,
+                        m.parsed,
+                        m.parse_errors,
+                        m.extracted,
+                        m.connected,
+                        m.quarantined,
+                        m.canon_conflicts,
+                    ]
+                };
+                assert_eq!(counters(&direct.metrics), counters(&wire.metrics), "{ctx}");
+                assert_eq!(
+                    direct.metrics.stage_items, wire.metrics.stage_items,
+                    "{ctx}"
+                );
+                assert_eq!(wire.metrics.quarantined, 0, "{ctx}");
+                assert!(wire.metrics.accounting_balanced(), "{ctx}");
+                assert_eq!(
+                    graph_digest(&direct.connector),
+                    graph_digest(&wire.connector),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,145 @@
-//! Bounded, sharded query cache keyed by `(snapshot digest, query key)`.
+//! The serving layer's bounded caches, both built on one [`ShardedFifo`].
 //!
-//! Because the digest is part of the key, publishing a new snapshot
+//! The answer cache ([`QueryCache`]) is keyed by `(snapshot digest, query
+//! key)`. Because the digest is part of the key, publishing a new snapshot
 //! invalidates nothing explicitly: entries for the old digest simply stop
-//! being looked up and age out of the FIFO. Shards keep the lock a reader
-//! takes on a hit uncontended under concurrency (a single global lock would
-//! serialise the whole read path).
+//! being looked up and age out of the FIFO. The plan cache
+//! ([`crate::PlanCache`]) keys by query text alone. Shards keep the lock a
+//! reader takes on a hit uncontended under concurrency (a single global lock
+//! would serialise the whole read path).
 
 use crate::snapshot::Answer;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of independently locked shards.
 const SHARDS: usize = 16;
 
-type Key = (u64, String);
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Key, Answer>,
+struct Shard<K, V> {
+    map: HashMap<K, V>,
     /// Insertion order for FIFO eviction.
-    order: VecDeque<Key>,
+    order: VecDeque<K>,
+}
+
+/// A bounded map split into [`SHARDS`] independently locked shards, each
+/// evicting its oldest entry at capacity, with hit/miss/eviction counters.
+/// The caller picks the shard by passing a hash of the key.
+pub(crate) struct ShardedFifo<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
+    /// Max entries per shard (total capacity / SHARDS, at least 1 when
+    /// caching is enabled at all); 0 disables caching.
+    per_shard: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> ShardedFifo<K, V> {
+    /// Holds at most ~`capacity` entries; 0 disables caching.
+    pub(crate) fn new(capacity: usize) -> Self {
+        ShardedFifo {
+            shards: (0..SHARDS)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        map: HashMap::new(),
+                        order: VecDeque::new(),
+                    })
+                })
+                .collect(),
+            per_shard: capacity.div_ceil(SHARDS),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// Whether caching is on at all (capacity above 0).
+    pub(crate) fn enabled(&self) -> bool {
+        self.per_shard > 0
+    }
+
+    fn shard(&self, hash: u64) -> &Mutex<Shard<K, V>> {
+        &self.shards[(hash as usize) % SHARDS]
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The cached value for `key`, counting a hit or a miss.
+    pub(crate) fn get(&self, hash: u64, key: &K) -> Option<V> {
+        let found = self.shard(hash).lock().map.get(key).cloned();
+        self.count(found.is_some());
+        found
+    }
+
+    /// Insert or replace `key`'s value.
+    pub(crate) fn insert(&self, hash: u64, key: K, value: V) {
+        let mut shard = self.shard(hash).lock();
+        match shard.map.get_mut(&key) {
+            Some(existing) => *existing = value,
+            None => self.push(&mut shard, key, value),
+        }
+    }
+
+    /// `key`'s value, or on a miss the `Ok` value of `fill`, which runs and
+    /// is cached under the shard's lock: concurrent misses on one key wait
+    /// for the first fill instead of racing it. An `Err` is not cached.
+    pub(crate) fn get_or_try_fill<E>(
+        &self,
+        hash: u64,
+        key: K,
+        fill: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E> {
+        let mut shard = self.shard(hash).lock();
+        let found = shard.map.get(&key).cloned();
+        self.count(found.is_some());
+        if let Some(value) = found {
+            return Ok(value);
+        }
+        let value = fill()?;
+        self.push(&mut shard, key, value.clone());
+        Ok(value)
+    }
+
+    /// Add a new entry, evicting the shard's oldest at capacity.
+    fn push(&self, shard: &mut Shard<K, V>, key: K, value: V) {
+        if shard.map.len() >= self.per_shard {
+            if let Some(oldest) = shard.order.pop_front() {
+                shard.map.remove(&oldest);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        shard.order.push_back(key.clone());
+        shard.map.insert(key, value);
+    }
+
+    /// Entries currently cached (across shards).
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
+    }
+
+    /// Drop every entry (counters keep accumulating).
+    pub(crate) fn clear(&self) {
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            shard.map.clear();
+            shard.order.clear();
+        }
+    }
+
+    /// Counter snapshot.
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            entries: self.len(),
+        }
+    }
 }
 
 /// Point-in-time cache counters.
@@ -34,35 +153,19 @@ pub struct CacheStats {
 
 /// The bounded per-snapshot query cache.
 pub struct QueryCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Max entries per shard (total capacity / SHARDS, at least 1 when
-    /// caching is enabled at all).
-    per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    fifo: ShardedFifo<(u64, String), Answer>,
 }
 
 impl QueryCache {
     /// Cache holding at most ~`capacity` answers; 0 disables caching.
     pub fn new(capacity: usize) -> Self {
-        let per_shard = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(SHARDS)
-        };
         QueryCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            fifo: ShardedFifo::new(capacity),
         }
     }
 
-    fn shard_of(&self, key: &Key) -> &Mutex<Shard> {
-        let h = kg_ir::fnv1a64(key.1.as_bytes()) ^ key.0;
-        &self.shards[(h as usize) % SHARDS]
+    fn hash(digest: u64, query_key: &str) -> u64 {
+        kg_ir::fnv1a64(query_key.as_bytes()) ^ digest
     }
 
     /// Look up a cached answer for this `(digest, query key)`. A disabled
@@ -70,47 +173,25 @@ impl QueryCache {
     /// lookup that was never attempted is not a miss, and counting it would
     /// skew every derived hit-rate to 0% instead of "no data".
     pub fn get(&self, digest: u64, query_key: &str) -> Option<Answer> {
-        if self.per_shard == 0 {
+        if !self.fifo.enabled() {
             return None;
         }
         let key = (digest, query_key.to_owned());
-        let found = self.shard_of(&key).lock().map.get(&key).cloned();
-        match found {
-            Some(answer) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(answer)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.fifo.get(Self::hash(digest, query_key), &key)
     }
 
     /// Insert an answer, evicting the shard's oldest entry at capacity.
     pub fn insert(&self, digest: u64, query_key: &str, answer: Answer) {
-        if self.per_shard == 0 {
+        if !self.fifo.enabled() {
             return;
         }
         let key = (digest, query_key.to_owned());
-        let mut shard = self.shard_of(&key).lock();
-        if let Some(existing) = shard.map.get_mut(&key) {
-            *existing = answer;
-            return;
-        }
-        if shard.map.len() >= self.per_shard {
-            if let Some(oldest) = shard.order.pop_front() {
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.order.push_back(key.clone());
-        shard.map.insert(key, answer);
+        self.fifo.insert(Self::hash(digest, query_key), key, answer);
     }
 
     /// Entries currently cached (across shards).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.fifo.len()
     }
 
     /// Whether the cache holds nothing.
@@ -120,21 +201,12 @@ impl QueryCache {
 
     /// Drop every entry (counters keep accumulating).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.map.clear();
-            shard.order.clear();
-        }
+        self.fifo.clear();
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
+        self.fifo.stats()
     }
 }
 

@@ -17,23 +17,11 @@
 //! garbage queries... which FIFO eviction permits anyway, so the real reason
 //! is simpler: an `Err` entry has nothing reusable in it).
 
+use crate::cache::{CacheStats, ShardedFifo};
 use kg_graph::cypher::CypherError;
 use kg_graph::{parse, CompiledPlan};
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of independently locked shards (same rationale as
-/// [`crate::QueryCache`]: keep the hit path uncontended under concurrency).
-const SHARDS: usize = 16;
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<String, Arc<CompiledPlan>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<String>,
-}
 
 /// Point-in-time plan-cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,73 +39,44 @@ pub struct PlanCacheStats {
 /// text. Shared across epochs by construction — nothing snapshot-dependent
 /// enters the key or the value.
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Max entries per shard; 0 disables caching (every lookup compiles).
-    per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// 0 capacity disables caching (every lookup compiles).
+    fifo: ShardedFifo<String, Arc<CompiledPlan>>,
     compiles: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl PlanCache {
     /// Cache holding at most ~`capacity` plans; 0 disables caching.
     pub fn new(capacity: usize) -> Self {
-        let per_shard = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(SHARDS)
-        };
         PlanCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            fifo: ShardedFifo::new(capacity),
             compiles: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard_of(&self, key: &str) -> &Mutex<Shard> {
-        let h = kg_ir::fnv1a64(key.as_bytes());
-        &self.shards[(h as usize) % SHARDS]
+    fn compile(&self, text: &str) -> Result<Arc<CompiledPlan>, CypherError> {
+        let plan = Arc::new(CompiledPlan::compile(&parse(text)?)?);
+        self.compiles.fetch_add(1, Ordering::Relaxed);
+        Ok(plan)
     }
 
     /// Fetch the compiled plan for `text`, compiling (and caching) on a
     /// miss. The key is `normalize(text)` — the same normalizer the answer
     /// cache's Cypher keys use — so whitespace-variant spellings of one
-    /// query share one plan.
+    /// query share one plan. The compile runs under the shard lock, so
+    /// concurrent misses on one query wait for the first compile instead of
+    /// racing it, and each distinct plan compiles exactly once.
     pub fn plan(&self, text: &str) -> Result<Arc<CompiledPlan>, CypherError> {
-        if self.per_shard == 0 {
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(CompiledPlan::compile(&parse(text)?)?));
+        if !self.fifo.enabled() {
+            return self.compile(text);
         }
         let key = crate::normalize(text);
-        let mut shard = self.shard_of(&key).lock();
-        if let Some(plan) = shard.map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(plan));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Compile under the shard lock: concurrent misses on one query wait
-        // for the first compile instead of racing it, so each distinct plan
-        // compiles exactly once.
-        let plan = Arc::new(CompiledPlan::compile(&parse(text)?)?);
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        if shard.map.len() >= self.per_shard {
-            if let Some(oldest) = shard.order.pop_front() {
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.order.push_back(key.clone());
-        shard.map.insert(key, Arc::clone(&plan));
-        Ok(plan)
+        let hash = kg_ir::fnv1a64(key.as_bytes());
+        self.fifo.get_or_try_fill(hash, key, || self.compile(text))
     }
 
     /// Plans currently cached (across shards).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.fifo.len()
     }
 
     /// Whether the cache holds nothing.
@@ -127,21 +86,23 @@ impl PlanCache {
 
     /// Drop every entry (counters keep accumulating).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.map.clear();
-            shard.order.clear();
-        }
+        self.fifo.clear();
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> PlanCacheStats {
+        let CacheStats {
+            hits,
+            misses,
+            evictions,
+            entries,
+        } = self.fifo.stats();
         PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits,
+            misses,
             compiles: self.compiles.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
+            evictions,
+            entries,
         }
     }
 }

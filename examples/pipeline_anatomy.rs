@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Shows the modular design: porter → checker → parser → extractor →
-//! connector, the config file selecting components, and the SQL-style
-//! connector swap the paper calls out as the extensibility story.
+//! connector, the config file passing parameters to the components, and the
+//! SQL-style connector swap the paper calls out as the extensibility story.
 
 use securitykg::crawler::{crawl_all, CrawlState, CrawlerConfig};
 use securitykg::extract::RegexNerBaseline;
@@ -81,8 +81,6 @@ fn main() {
     println!("\nconfiguration file (JSON):");
     let config_text = r#"{
         "checker_min_text_len": 60,
-        "extractor": "IocOnly",
-        "connector": "Tabular",
         "workers": {"check": 1, "parse": 2, "extract": 4},
         "serialize_transport": true
     }"#;
@@ -90,6 +88,8 @@ fn main() {
     println!("{}", config.to_json());
 
     // ---- Full pipelined run with the SQL-style connector swapped in --------
+    // The components are objects handed to the runner; the file above only
+    // carries their parameters.
     let out = run_pipelined(
         raw_pages,
         &registry,

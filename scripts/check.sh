@@ -18,7 +18,7 @@ awk '/^test result:/ { passed += $4; suites += 1 }
      END { printf "test summary: %d tests passed across %d suites\n", passed, suites }' \
     "$test_log"
 
-echo "== E4 smoke (4 connect workers, digest vs sequential) =="
+echo "== E4 smoke (4 connect workers, direct and wire transport, digest vs sequential) =="
 cargo run -q -p kg-bench --bin exp_pipeline --release -- --smoke
 
 echo "== E13 smoke (incremental publish digest vs full rebuild) =="

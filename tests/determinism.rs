@@ -12,13 +12,9 @@ fn build_graph(seed: u64) -> securitykg::graph::GraphStore {
     let world = World::generate(WorldConfig::tiny(seed));
     let web = SimulatedWeb::new(world, standard_sources(8), seed);
     let mut state = CrawlState::new();
-    let (mut reports, _) = crawl_all(&web, &mut state, &CrawlerConfig::default(), u64::MAX / 4);
-    // The parallel crawl delivers reports in scheduling order; fix a
-    // canonical order so graph node ids are comparable across runs. (The
-    // graph *contents* are order-independent either way; ids are not.)
-    reports.sort_by(|a, b| {
-        (a.source.0, &a.report_key, a.page).cmp(&(b.source.0, &b.report_key, b.page))
-    });
+    // The crawl returns reports in source order whatever its thread count,
+    // so graph node ids are comparable across runs.
+    let (reports, _) = crawl_all(&web, &mut state, &CrawlerConfig::default(), u64::MAX / 4);
     let extractor = IocOnlyExtractor {
         baseline: Arc::new(RegexNerBaseline::new(vec![])),
     };
