@@ -1,5 +1,5 @@
 //! Shared fixtures and table formatting for the experiment harnesses
-//! (E1–E8 in DESIGN.md) and the Criterion benches.
+//! (E1–E18 in DESIGN.md and EXPERIMENTS.md).
 
 use kg_corpus::{standard_sources, SimulatedWeb, World, WorldConfig};
 

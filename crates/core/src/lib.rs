@@ -151,10 +151,6 @@ pub struct SecurityKg {
     /// Incremental epoch builder for O(delta) serving publishes; seeded
     /// lazily on the first [`SecurityKg::serving_snapshot_incremental`].
     epoch: Option<kg_serve::EpochBuilder>,
-    /// Per-shard epoch builders for scale-out serving; seeded lazily on the
-    /// first [`SecurityKg::serving_shards`] (reseeded if the shard count
-    /// changes).
-    shard_set: Option<kg_serve::ShardSet>,
     /// Structured event log accumulated across ingest rounds.
     trace: TraceLog,
     /// Simulated clock for incremental crawls.
@@ -184,7 +180,6 @@ impl SecurityKg {
             ner: Some(Arc::new(pipeline)),
             connector: GraphConnector::new(),
             epoch: None,
-            shard_set: None,
             trace: TraceLog::new(),
             now_ms: u64::MAX / 4,
         }
@@ -210,7 +205,6 @@ impl SecurityKg {
             ner: None,
             connector: GraphConnector::new(),
             epoch: None,
-            shard_set: None,
             trace: TraceLog::new(),
             now_ms: u64::MAX / 4,
         }
@@ -393,50 +387,6 @@ impl SecurityKg {
             .freeze(&mut self.connector.graph, &self.connector.search)
     }
 
-    /// Partition the knowledge base across `shards` scatter-gather cells
-    /// and freeze one snapshot per shard (see `kg-serve::ShardedServe`).
-    /// Nodes route by hashed `(label, name)` canon key; each shard carries
-    /// its owned slice of the graph, the keyword index and the expansion
-    /// adjacency plus a partial digest — the per-shard partials plus the
-    /// digest seed sum to [`graph_digest`], so a scatter-gather response
-    /// vector is verifiable against the durable fingerprint. The first call
-    /// seeds per-shard epoch builders with one full scan; later calls are
-    /// O(delta) per shard. Changing `shards` reseeds from scratch.
-    pub fn serving_shards(&mut self, shards: usize) -> Vec<kg_serve::ShardSnapshot> {
-        self.seed_shard_set(shards);
-        self.shard_set
-            .as_mut()
-            .expect("seeded above")
-            .freeze_all(&mut self.connector.graph, &self.connector.search)
-    }
-
-    /// Freeze the next epoch of a single shard (independent per-shard
-    /// publication: the other shards keep serving their current epochs).
-    /// `shards` fixes the partition width on first use, like
-    /// [`SecurityKg::serving_shards`].
-    pub fn serving_shard(&mut self, shard: usize, shards: usize) -> kg_serve::ShardSnapshot {
-        self.seed_shard_set(shards);
-        self.shard_set.as_mut().expect("seeded above").freeze_shard(
-            shard,
-            &mut self.connector.graph,
-            &self.connector.search,
-        )
-    }
-
-    fn seed_shard_set(&mut self, shards: usize) {
-        let reseed = self
-            .shard_set
-            .as_ref()
-            .is_none_or(|set| set.shards() != shards.max(1));
-        if reseed {
-            self.shard_set = Some(kg_serve::ShardSet::new(
-                &mut self.connector.graph,
-                &self.connector.search,
-                shards,
-            ));
-        }
-    }
-
     /// Register a standing-query hub on the live graph's delta log (its own
     /// cursor — independent of the epoch builder's). Pair with
     /// [`SecurityKg::serving_snapshot_incremental`]: subscriptions are
@@ -570,69 +520,6 @@ mod tests {
             .unwrap()
             .to_owned();
         assert_eq!(snap.keyword_search(&name, 10), kg.keyword_search(&name, 10));
-    }
-
-    #[test]
-    fn sharded_serving_agrees_with_the_single_snapshot() {
-        let mut kg = SecurityKg::bootstrap_without_ner(&tiny_config());
-        kg.crawl_and_ingest();
-        let oracle = kg.serving_snapshot();
-        let serve = kg_serve::ShardedServe::new(kg.serving_shards(3));
-        assert_eq!(serve.shards(), 3);
-        // The per-shard partial digests reassemble the canonical graph
-        // digest, and every query class matches the unsharded snapshot.
-        let malware = kg.graph().nodes_with_label("Malware");
-        let name = kg
-            .graph()
-            .node(malware[0])
-            .unwrap()
-            .name()
-            .unwrap()
-            .to_owned();
-        for query in [
-            kg_serve::Query::Search {
-                q: name.clone(),
-                k: 10,
-            },
-            kg_serve::Query::Cypher {
-                q: "MATCH (m:Malware) RETURN m.name ORDER BY m.name LIMIT 5".into(),
-            },
-            kg_serve::Query::Expand {
-                name,
-                hops: 2,
-                cap: 40,
-            },
-        ] {
-            let response = serve.execute(&query);
-            assert_eq!(response.answer, oracle.answer(&query));
-            assert_eq!(response.combined_digest(), oracle.digest());
-        }
-        // Mutate and republish a single shard: the mixed-epoch digest
-        // vector no longer reassembles, but a full refreeze does.
-        kg.crawl_and_ingest();
-        kg.graph_mut()
-            .create_node("Malware", [("name", kg_graph::Value::from("shardling"))]);
-        for shard in 0..3 {
-            serve.publish_shard(kg.serving_shard(shard, 3));
-        }
-        assert_eq!(
-            serve.execute(&kg_serve::Query::Search {
-                q: "shardling".into(),
-                k: 3,
-            }),
-            serve.execute(&kg_serve::Query::Search {
-                q: "shardling".into(),
-                k: 3,
-            }),
-        );
-        assert_eq!(
-            serve
-                .execute(&kg_serve::Query::Cypher {
-                    q: "MATCH (m:Malware {name: 'shardling'}) RETURN count(*)".into(),
-                })
-                .combined_digest(),
-            durable::graph_digest(kg.graph()),
-        );
     }
 
     #[test]

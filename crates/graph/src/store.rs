@@ -26,6 +26,7 @@
 //!   query subscriptions are reader #2 — neither can starve the other.
 
 use crate::value::Value;
+use kg_ir::{fnv1a64_pinned, fnv1a64_pinned_extend, splitmix64};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -125,23 +126,6 @@ const TAG_NODE: u64 = 0x4e4f_4445;
 /// Domain separator mixed into edge terms ("EDGE").
 const TAG_EDGE: u64 = 0x4544_4745;
 
-fn fnv1a64_str(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
-/// Finalizer spreading FNV's weak high bits before the commutative sum.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 thread_local! {
     /// Reused JSON buffer for digest terms, so hashing an element allocates
     /// nothing once the buffer has grown to the largest element seen.
@@ -155,7 +139,7 @@ fn element_term<T: Serialize>(element: &T, tag: u64) -> u64 {
         let mut json = buf.borrow_mut();
         json.clear();
         element.write_json(&mut json);
-        splitmix64(fnv1a64_str(&json) ^ tag)
+        splitmix64(fnv1a64_pinned(json.as_bytes()) ^ tag)
     })
 }
 
@@ -176,7 +160,10 @@ pub fn edge_digest(edge: &Edge) -> u64 {
 /// key the `(label, name)` merge index uses, so the entities the paper's
 /// §2.5 merge rule would unify always land on the same shard.
 pub fn canon_shard(label: &str, name: &str, shards: usize) -> usize {
-    (fnv1a64_str(&name_key(label, name)) % shards.max(1) as u64) as usize
+    // The hash of `name_key(label, name)`, streamed without building the key.
+    let label_nul = fnv1a64_pinned_extend(fnv1a64_pinned(label.as_bytes()), b"\0");
+    let hash = fnv1a64_pinned_extend(label_nul, name.as_bytes());
+    (hash % shards.max(1) as u64) as usize
 }
 
 /// Fallback routing for elements with no usable canon key: hash the dense
@@ -1751,6 +1738,24 @@ mod tests {
         g.set_node_prop(d, "name", Value::from("hidden cobra \u{7f}"))
             .unwrap();
         g
+    }
+
+    /// Pins canon-key routing: the streamed hash equals hashing the
+    /// composite merge-index key, shard by shard.
+    #[test]
+    fn canon_shard_is_pinned() {
+        for (label, name, want) in [
+            ("Malware", "wannacry", [1, 0, 0]),
+            ("ThreatActor", "lazarus group", [1, 2, 0]),
+            ("Tool", "mimikatz", [1, 1, 2]),
+        ] {
+            let key = name_key(label, name);
+            for (shards, want) in [2usize, 3, 7].into_iter().zip(want) {
+                assert_eq!(canon_shard(label, name, shards), want, "{label}/{name}");
+                let whole = (fnv1a64_pinned(key.as_bytes()) % shards as u64) as usize;
+                assert_eq!(canon_shard(label, name, shards), whole);
+            }
+        }
     }
 
     /// Pins the bytes every digest term hashes: any change to the element

@@ -20,7 +20,9 @@ pub mod mention;
 pub mod raw;
 pub mod report;
 
-pub use hash::{combine_hashes, fnv1a64, fnv1a64_extend};
+pub use hash::{
+    combine_hashes, fnv1a64, fnv1a64_extend, fnv1a64_pinned, fnv1a64_pinned_extend, splitmix64,
+};
 pub use mention::{EntityMention, MentionOrigin, RelationMention};
 pub use raw::{FetchStatus, RawReport};
 pub use report::{IntermediateCti, IntermediateReport, ReportId, ReportMeta, Section, SourceId};

@@ -25,17 +25,8 @@ pub const DOC_SEG: usize = 256;
 /// sorted `(term, [(doc, tf), ...])` pairs.
 pub type ShardTerms = Vec<(String, Vec<(u32, u32)>)>;
 
-fn fnv1a64_term(term: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in term.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 fn shard_of(term: &str) -> usize {
-    (fnv1a64_term(term) % PERSIST_SHARDS as u64) as usize
+    (kg_ir::fnv1a64_pinned(term.as_bytes()) % PERSIST_SHARDS as u64) as usize
 }
 
 /// BM25 parameters.

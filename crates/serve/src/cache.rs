@@ -156,6 +156,23 @@ pub struct QueryCache {
     fifo: ShardedFifo<(u64, String), Answer>,
 }
 
+/// An answer-cache key, built once per query: `(snapshot digest, query
+/// key)` plus its shard hash. A lookup borrows it and a miss moves it into
+/// the insert, so a query allocates its key string exactly once.
+pub(crate) struct AnswerKey {
+    hash: u64,
+    key: (u64, String),
+}
+
+impl AnswerKey {
+    pub(crate) fn new(digest: u64, query_key: String) -> Self {
+        AnswerKey {
+            hash: kg_ir::fnv1a64(query_key.as_bytes()) ^ digest,
+            key: (digest, query_key),
+        }
+    }
+}
+
 impl QueryCache {
     /// Cache holding at most ~`capacity` answers; 0 disables caching.
     pub fn new(capacity: usize) -> Self {
@@ -164,29 +181,33 @@ impl QueryCache {
         }
     }
 
-    fn hash(digest: u64, query_key: &str) -> u64 {
-        kg_ir::fnv1a64(query_key.as_bytes()) ^ digest
-    }
-
-    /// Look up a cached answer for this `(digest, query key)`. A disabled
-    /// cache (capacity 0) answers `None` without touching any counter — a
-    /// lookup that was never attempted is not a miss, and counting it would
-    /// skew every derived hit-rate to 0% instead of "no data".
-    pub fn get(&self, digest: u64, query_key: &str) -> Option<Answer> {
+    /// Look up the cached answer for `key`. A disabled cache (capacity 0)
+    /// answers `None` without touching any counter — a lookup that was
+    /// never attempted is not a miss, and counting it would skew every
+    /// derived hit-rate to 0% instead of "no data".
+    pub(crate) fn lookup(&self, key: &AnswerKey) -> Option<Answer> {
         if !self.fifo.enabled() {
             return None;
         }
-        let key = (digest, query_key.to_owned());
-        self.fifo.get(Self::hash(digest, query_key), &key)
+        self.fifo.get(key.hash, &key.key)
     }
 
-    /// Insert an answer, evicting the shard's oldest entry at capacity.
-    pub fn insert(&self, digest: u64, query_key: &str, answer: Answer) {
-        if !self.fifo.enabled() {
-            return;
+    /// Insert an answer under `key`, evicting the shard's oldest entry at
+    /// capacity.
+    pub(crate) fn store(&self, key: AnswerKey, answer: Answer) {
+        if self.fifo.enabled() {
+            self.fifo.insert(key.hash, key.key, answer);
         }
-        let key = (digest, query_key.to_owned());
-        self.fifo.insert(Self::hash(digest, query_key), key, answer);
+    }
+
+    /// [`Self::lookup`] for a `(digest, query key)` pair.
+    pub fn get(&self, digest: u64, query_key: &str) -> Option<Answer> {
+        self.lookup(&AnswerKey::new(digest, query_key.to_owned()))
+    }
+
+    /// [`Self::store`] for a `(digest, query key)` pair.
+    pub fn insert(&self, digest: u64, query_key: &str, answer: Answer) {
+        self.store(AnswerKey::new(digest, query_key.to_owned()), answer);
     }
 
     /// Entries currently cached (across shards).

@@ -18,10 +18,19 @@
 //!   are `Arc`'d, so `clone()` bumps refcounts and only writer-touched
 //!   shards were ever deep-copied.
 //!
+//! The same builder serves the sharded path ([`crate::ShardSet`]): built
+//! with a shard count N, it keeps its terms and adjacency in N owner
+//! slices, routed by canon key ([`kg_graph::node_shard`]; an edge goes with
+//! its `from` node), so each slice's seedless term sum is that shard's
+//! partial digest and its adjacency is that shard's owned partition. A
+//! rename that changes a node's owner moves the node and its outgoing
+//! edges to the new slice; nothing else ever moves. At N = 1 everything is
+//! slice 0 and no canon key is hashed.
+//!
 //! The builder does not re-apply `GraphDelta`s itself — apply is not
 //! delta-pure (canon commit re-resolves against the live table), so the
 //! builder instead *observes* the writer's graph through the store's delta
-//! log: it registers a [`kg_graph::DeltaCursor`] at seeding time and each
+//! log: it registers one [`kg_graph::DeltaCursor`] at seeding time and each
 //! absorb collects the sealed batches that cursor has not seen yet
 //! ([`kg_graph::GraphStore::collect_changes`]) — whatever the writer did,
 //! the batches name every element whose digest term or adjacency entry may
@@ -31,59 +40,127 @@
 //! correctness oracle (see `tests/epoch_props.rs` at the workspace root).
 
 use crate::snapshot::KgSnapshot;
+use kg_graph::store::Node;
 use kg_graph::{
-    edge_digest, node_digest, DeltaBatch, DeltaCursor, GraphStore, NodeId, DIGEST_SEED,
+    edge_digest, node_digest, node_shard, DeltaBatch, DeltaCursor, EdgeId, GraphStore, NodeId,
+    DIGEST_SEED,
 };
 use kg_search::SearchIndex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// One shard's share of the builder: the digest terms and adjacency of
+/// the live elements it owns.
+#[derive(Default)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
+pub(crate) struct Slice {
+    node_terms: HashMap<NodeId, u64>,
+    edge_terms: HashMap<EdgeId, u64>,
+    /// Seedless wrapping sum of the owned terms: the shard's partial digest.
+    pub(crate) partial: u64,
+    /// Owned live nodes → neighbours, individually `Arc`'d.
+    pub(crate) adjacency: HashMap<NodeId, Arc<Vec<NodeId>>>,
+}
+
+impl Slice {
+    fn add_node(&mut self, id: NodeId, term: u64) {
+        self.node_terms.insert(id, term);
+        self.partial = self.partial.wrapping_add(term);
+    }
+
+    fn add_edge(&mut self, id: EdgeId, term: u64) {
+        self.edge_terms.insert(id, term);
+        self.partial = self.partial.wrapping_add(term);
+    }
+
+    /// Drop `id`'s node term; whether this slice held it.
+    fn remove_node(&mut self, id: NodeId) -> bool {
+        let Some(term) = self.node_terms.remove(&id) else {
+            return false;
+        };
+        self.partial = self.partial.wrapping_sub(term);
+        true
+    }
+
+    /// Drop `id`'s edge term; whether this slice held it.
+    fn remove_edge(&mut self, id: EdgeId) -> bool {
+        let Some(term) = self.edge_terms.remove(&id) else {
+            return false;
+        };
+        self.partial = self.partial.wrapping_sub(term);
+        true
+    }
+}
+
 /// Maintains digest + adjacency across epochs so freezing a snapshot costs
 /// O(elements touched since the last freeze) instead of O(graph).
 pub struct EpochBuilder {
-    /// Current digest term of every live node (what to subtract when the
-    /// node changes or dies).
-    node_terms: HashMap<NodeId, u64>,
-    /// Current digest term of every live edge.
-    edge_terms: HashMap<kg_graph::EdgeId, u64>,
-    /// Running graph digest, kept equal to `graph.digest()`.
-    digest: u64,
-    /// Carried-forward adjacency table; only dirty entries are re-frozen.
-    adjacency: HashMap<NodeId, Arc<Vec<NodeId>>>,
+    /// One slice per shard; exactly one for an unsharded builder.
+    slices: Vec<Slice>,
     /// This builder's cursor on the writer's delta log (reader #1).
     cursor: DeltaCursor,
 }
 
 impl EpochBuilder {
-    /// Seed the builder from the writer's live graph with one full scan —
-    /// the only O(graph) moment in the builder's lifetime. Registering the
+    /// Seed an unsharded builder from the writer's live graph with one full
+    /// scan — the only O(graph) moment in the builder's lifetime.
+    pub fn new(graph: &mut GraphStore) -> Self {
+        Self::sharded(graph, 1)
+    }
+
+    /// Seed a builder split into `shards` owner slices with one scan: each
+    /// element's owner and digest term are computed once. Registering the
     /// cursor positions it after any changes the store had already tracked,
     /// so they are skipped (the scan sees them).
-    pub fn new(graph: &mut GraphStore) -> Self {
-        let cursor = graph.register_delta_consumer();
-        let mut digest = DIGEST_SEED;
-        let mut node_terms = HashMap::new();
-        let mut edge_terms = HashMap::new();
-        let mut adjacency = HashMap::new();
+    pub(crate) fn sharded(graph: &mut GraphStore, shards: usize) -> Self {
+        let mut builder = EpochBuilder {
+            slices: (0..shards.max(1)).map(|_| Slice::default()).collect(),
+            cursor: graph.register_delta_consumer(),
+        };
+        // Node ids are slot indexes, so a dense table hands each edge its
+        // `from` node's owner; unsharded, every owner is 0 and it stays empty.
+        let slots = if shards > 1 {
+            graph.node_slot_count()
+        } else {
+            0
+        };
+        let mut owner_of_slot = vec![0usize; slots];
         for node in graph.all_nodes() {
-            let term = node_digest(node);
-            node_terms.insert(node.id, term);
-            digest = digest.wrapping_add(term);
-            adjacency.insert(node.id, Arc::new(graph.neighbors(node.id)));
+            let shard = builder.route(node);
+            if let Some(owner) = owner_of_slot.get_mut(node.id.0 as usize) {
+                *owner = shard;
+            }
+            let slice = &mut builder.slices[shard];
+            slice.add_node(node.id, node_digest(node));
+            slice
+                .adjacency
+                .insert(node.id, Arc::new(graph.neighbors(node.id)));
         }
         for edge in graph.all_edges() {
-            let term = edge_digest(edge);
-            edge_terms.insert(edge.id, term);
-            digest = digest.wrapping_add(term);
+            let shard = owner_of_slot
+                .get(edge.from.0 as usize)
+                .copied()
+                .unwrap_or(0);
+            builder.slices[shard].add_edge(edge.id, edge_digest(edge));
         }
-        EpochBuilder {
-            node_terms,
-            edge_terms,
-            digest,
-            adjacency,
-            cursor,
+        builder
+    }
+
+    /// The shard a live node belongs to by canon key; no hashing unsharded.
+    fn route(&self, node: &Node) -> usize {
+        match self.slices.len() {
+            1 => 0,
+            shards => node_shard(node, shards),
         }
+    }
+
+    /// The slice holding `id`'s term — its owner as of the last absorb —
+    /// or `None` for a node that is not live.
+    pub(crate) fn owner(&self, id: NodeId) -> Option<usize> {
+        self.slices
+            .iter()
+            .position(|slice| slice.node_terms.contains_key(&id))
     }
 
     /// Collect the delta batches this builder's cursor has not seen yet and
@@ -94,63 +171,97 @@ impl EpochBuilder {
         }
     }
 
-    /// Patch digest + adjacency for one sealed batch. Terms are re-read
-    /// from the *live* graph, so applying consecutive batches that touch the
-    /// same element converges on the same state as one merged batch.
+    /// Drop an edge's tracked term and re-add it to its `from` node's slice
+    /// iff the edge is live — the one routine every edge path (edge delta,
+    /// owner-changing rename) funnels through.
+    fn reroute_edge(&mut self, graph: &GraphStore, id: EdgeId) {
+        self.slices.iter_mut().any(|slice| slice.remove_edge(id));
+        if let Some(edge) = graph.edge(id) {
+            // A live edge's `from` node is live (deletes cascade), so the
+            // fallback never fires.
+            let shard = match self.slices.len() {
+                1 => 0,
+                _ => self.owner(edge.from).unwrap_or(0),
+            };
+            self.slices[shard].add_edge(id, edge_digest(edge));
+        }
+    }
+
+    /// Patch terms + adjacency for one sealed batch. Terms and owners are
+    /// re-read from the *live* graph, so applying consecutive batches that
+    /// touch the same element converges on the same state as one merged
+    /// batch.
     fn apply_batch(&mut self, graph: &GraphStore, batch: &DeltaBatch) {
-        // Endpoints whose adjacency entry must be re-frozen.
+        // Nodes whose adjacency entry must be re-frozen.
         let mut dirty: BTreeSet<NodeId> = BTreeSet::new();
-        for &(edge_id, from, to) in &batch.changes.edges {
-            if let Some(old) = self.edge_terms.remove(&edge_id) {
-                self.digest = self.digest.wrapping_sub(old);
+        // Nodes first: an edge is routed by its `from` node's slice.
+        for &id in &batch.changes.nodes {
+            let old = self
+                .slices
+                .iter_mut()
+                .position(|slice| slice.remove_node(id));
+            let new = graph.node(id).map(|node| {
+                let shard = self.route(node);
+                self.slices[shard].add_node(id, node_digest(node));
+                shard
+            });
+            if let Some(old) = old.filter(|&old| Some(old) != new) {
+                self.slices[old].adjacency.remove(&id);
+                // A rename that changes the owner takes the node's outgoing
+                // edges along, with no edge delta to say so.
+                if new.is_some() {
+                    for edge in graph.outgoing_iter(id) {
+                        self.reroute_edge(graph, edge.id);
+                    }
+                }
             }
-            if let Some(edge) = graph.edge(edge_id) {
-                let term = edge_digest(edge);
-                self.edge_terms.insert(edge_id, term);
-                self.digest = self.digest.wrapping_add(term);
-            }
+            dirty.insert(id);
+        }
+        for &(id, from, to) in &batch.changes.edges {
+            self.reroute_edge(graph, id);
             dirty.insert(from);
             dirty.insert(to);
         }
-        for &node_id in &batch.changes.nodes {
-            if let Some(old) = self.node_terms.remove(&node_id) {
-                self.digest = self.digest.wrapping_sub(old);
-            }
-            if let Some(node) = graph.node(node_id) {
-                let term = node_digest(node);
-                self.node_terms.insert(node_id, term);
-                self.digest = self.digest.wrapping_add(term);
-            }
-            dirty.insert(node_id);
-        }
-        for node_id in dirty {
-            if graph.node(node_id).is_some() {
-                self.adjacency
-                    .insert(node_id, Arc::new(graph.neighbors(node_id)));
-            } else {
-                self.adjacency.remove(&node_id);
+        for id in dirty {
+            if let Some(shard) = self.owner(id) {
+                self.slices[shard]
+                    .adjacency
+                    .insert(id, Arc::new(graph.neighbors(id)));
             }
         }
     }
 
     /// The digest the next frozen snapshot will carry (before any pending
-    /// un-absorbed changes).
+    /// un-absorbed changes): the seed plus every slice's partial.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.slices
+            .iter()
+            .fold(DIGEST_SEED, |acc, slice| acc.wrapping_add(slice.partial))
+    }
+
+    /// One shard's slice, as of the last absorb.
+    pub(crate) fn slice(&self, shard: usize) -> &Slice {
+        &self.slices[shard]
     }
 
     /// Absorb pending changes and freeze the current graph + index state
     /// into a publishable snapshot. The clones are refcount bumps over
     /// `Arc`'d segments/posting lists — only shards the writer touches
-    /// *after* this freeze get deep-copied, on its side.
+    /// *after* this freeze get deep-copied, on its side. Sharded builders
+    /// freeze per shard through [`crate::ShardSet`] instead.
     pub fn freeze(&mut self, graph: &mut GraphStore, search: &SearchIndex<NodeId>) -> KgSnapshot {
+        debug_assert_eq!(
+            self.slices.len(),
+            1,
+            "whole-graph freeze of a sharded builder"
+        );
         let start = Instant::now();
         self.absorb(graph);
         KgSnapshot::from_parts(
             graph.clone(),
             search.clone(),
-            self.adjacency.clone(),
-            self.digest,
+            self.slices[0].adjacency.clone(),
+            self.digest(),
             start.elapsed().as_micros() as u64,
         )
     }
@@ -161,6 +272,86 @@ mod tests {
     use super::*;
     use crate::snapshot::SnapshotMode;
     use kg_graph::Value;
+
+    /// A history the slices must see through: tombstoned slots, cascaded
+    /// edges, renames (owner migration, outgoing edges included) and
+    /// unnamed nodes. `step` runs after every round.
+    fn history(graph: &mut GraphStore, mut step: impl FnMut(&mut GraphStore)) {
+        let m = graph.merge_node("Malware", "emotet", [] as [(&str, Value); 0]);
+        let t = graph.merge_node("Technique", "smb exploitation", [] as [(&str, Value); 0]);
+        let anon = graph.create_node("Indicator", [("score", Value::Int(3))]);
+        graph.merge_edge(anon, "INDICATES", t).unwrap();
+        graph.merge_edge(t, "RELATED", m).unwrap();
+        for i in 0..40 {
+            let n = graph.merge_node("Tool", &format!("tool{i}"), [] as [(&str, Value); 0]);
+            graph.merge_edge(m, "USES", n).unwrap();
+            graph.merge_edge(n, "RELATED", t).unwrap();
+            if i % 3 == 0 {
+                graph
+                    .set_node_prop(n, "name", Value::from(format!("renamed{i}")))
+                    .unwrap();
+            }
+            if i % 5 == 0 {
+                graph
+                    .set_node_prop(m, "name", Value::from(format!("heodo{i}")))
+                    .unwrap();
+            }
+            if i % 7 == 0 {
+                graph.delete_node(n).unwrap();
+            }
+            step(graph);
+        }
+    }
+
+    /// The per-shard reference partition: every shard walks the whole
+    /// graph and keeps what it owns by the live canon key.
+    fn reference_slice(graph: &GraphStore, shard: usize, shards: usize) -> Slice {
+        let mut slice = Slice::default();
+        for node in graph.all_nodes() {
+            if node_shard(node, shards) == shard {
+                slice.add_node(node.id, node_digest(node));
+                slice
+                    .adjacency
+                    .insert(node.id, Arc::new(graph.neighbors(node.id)));
+            }
+        }
+        for edge in graph.all_edges() {
+            if node_shard(graph.node(edge.from).unwrap(), shards) == shard {
+                slice.add_edge(edge.id, edge_digest(edge));
+            }
+        }
+        slice
+    }
+
+    #[test]
+    fn seeded_and_absorbed_slices_equal_the_per_shard_scan() {
+        for shards in [1usize, 2, 3, 4, 7] {
+            let mut graph = GraphStore::new();
+            graph.merge_node("Malware", "wannacry", [] as [(&str, Value); 0]);
+            // One builder absorbs every round, one absorbs the whole history
+            // at the end (one batch per round, the live graph far ahead),
+            // one is seeded afterwards.
+            let mut stepped = EpochBuilder::sharded(&mut graph, shards);
+            let mut late = EpochBuilder::sharded(&mut graph, shards);
+            history(&mut graph, |graph| {
+                stepped.absorb(graph);
+                graph.seal_changes();
+            });
+            late.absorb(&mut graph);
+            let seeded = EpochBuilder::sharded(&mut graph, shards);
+            for shard in 0..shards {
+                let want = reference_slice(&graph, shard, shards);
+                assert_eq!(seeded.slice(shard), &want, "{shards} shards, shard {shard}");
+                assert_eq!(
+                    stepped.slice(shard),
+                    &want,
+                    "{shards} shards, shard {shard}"
+                );
+                assert_eq!(late.slice(shard), &want, "{shards} shards, shard {shard}");
+            }
+            assert_eq!(seeded.digest(), graph.digest());
+        }
+    }
 
     fn assert_equivalent(snap: &KgSnapshot, oracle: &KgSnapshot) {
         assert_eq!(snap.digest(), oracle.digest());

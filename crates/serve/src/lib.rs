@@ -172,8 +172,8 @@ impl KgServe {
     /// `snapshot.digest()` — answers can never leak across epochs.
     pub fn execute_on(&self, snapshot: &KgSnapshot, query: &Query) -> QueryResponse {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let key = query.cache_key();
-        if let Some(answer) = self.cache.get(snapshot.digest(), &key) {
+        let key = cache::AnswerKey::new(snapshot.digest(), query.cache_key());
+        if let Some(answer) = self.cache.lookup(&key) {
             return QueryResponse {
                 digest: snapshot.digest(),
                 version: snapshot.version(),
@@ -197,7 +197,7 @@ impl KgServe {
             },
             _ => snapshot.answer(query),
         };
-        self.cache.insert(snapshot.digest(), &key, answer.clone());
+        self.cache.store(key, answer.clone());
         QueryResponse {
             digest: snapshot.digest(),
             version: snapshot.version(),

@@ -12,11 +12,12 @@
 //!   its subject node at first sync (sticky thereafter). Canon-key routing
 //!   means the entities the §2.5 merge rule would unify always land
 //!   together, and a `(label, name)` query touches exactly one shard.
-//! - **Per-shard epoch streams**: each shard runs its own
-//!   [`ShardEpochBuilder`] — a delta-log cursor plus owned digest terms,
-//!   owned adjacency entries and an owned posting partition — so shards
-//!   freeze and publish independently, O(delta) each, exactly like the
-//!   single-shard [`crate::EpochBuilder`].
+//! - **Per-shard epochs from one builder**: a [`ShardSet`] is the single
+//!   incremental [`crate::EpochBuilder`] built with N owner slices (one
+//!   delta-log cursor, one absorb), plus one posting partition per shard.
+//!   Freezing a shard absorbs the pending delta for all slices and reads
+//!   that shard's slice — its owned adjacency and partial digest — so
+//!   shards still publish independently, O(delta) each.
 //! - **Scatter-gather** ([`ShardedServe`]): keyword search computes global
 //!   BM25 statistics from the partitions, scores shard-locally with those
 //!   stats injected and merges per-shard top-k by `(score desc, global
@@ -37,16 +38,17 @@
 //! sharded answers must be byte-identical to the N=1 answers for arbitrary
 //! mutate/publish interleavings and shard counts.
 
+use crate::epoch::EpochBuilder;
 use crate::plan::PlanCache;
 use crate::snapshot::{Answer, Query};
 use kg_graph::store::{Edge, Node};
 use kg_graph::{
-    canon_shard, edge_digest, id_shard, node_digest, node_shard, DeltaBatch, DeltaCursor, EdgeId,
-    GraphSnapshot, GraphStore, NodeId, Params, ScatterRow, Value, DIGEST_SEED,
+    canon_shard, id_shard, EdgeId, GraphSnapshot, GraphStore, NodeId, Params, ScatterRow, Value,
+    DIGEST_SEED,
 };
 use kg_search::{CorpusStats, Hit, SearchIndex};
 use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -178,219 +180,77 @@ impl GraphSnapshot for ShardSnapshot {
     }
 }
 
-/// One shard's writer-side incremental state: the sharded sibling of
-/// [`crate::EpochBuilder`]. It observes the writer through its own
-/// delta-log cursor and maintains only *owned* digest terms and adjacency
-/// entries, re-evaluating ownership on every touched element (a rename
-/// migrates the node and its outgoing edges to another shard with no edge
-/// deltas, so node deltas re-route the node's outgoing edges too).
-struct ShardEpochBuilder {
-    shard: usize,
-    shards: usize,
-    /// Digest term of every live owned node.
-    node_terms: HashMap<NodeId, u64>,
-    /// Digest term of every live owned edge (owned = owner of `from`).
-    edge_terms: HashMap<EdgeId, u64>,
-    /// Running seedless partial digest.
-    partial: u64,
-    /// Owned live nodes → neighbours, individually `Arc`'d.
-    adjacency: HashMap<NodeId, Arc<Vec<NodeId>>>,
-    /// The shard's posting partition (append-only, like its source).
-    search: SearchIndex<ShardDoc>,
-    /// This builder's cursor on the writer's delta log.
-    cursor: DeltaCursor,
-}
-
-impl ShardEpochBuilder {
-    /// An empty builder with its own cursor on the writer's delta log;
-    /// [`ShardSet::new`] seeds every shard's state in one scan.
-    fn empty(graph: &mut GraphStore, shard: usize, shards: usize) -> Self {
-        ShardEpochBuilder {
-            shard,
-            shards,
-            node_terms: HashMap::new(),
-            edge_terms: HashMap::new(),
-            partial: 0,
-            adjacency: HashMap::new(),
-            search: SearchIndex::default(),
-            cursor: graph.register_delta_consumer(),
-        }
-    }
-
-    /// Collect unseen delta batches and patch terms + adjacency: O(delta).
-    fn absorb(&mut self, graph: &mut GraphStore) {
-        for batch in graph.collect_changes(self.cursor) {
-            self.apply_batch(graph, &batch);
-        }
-    }
-
-    /// Drop a tracked edge term and re-add it iff the edge is live and
-    /// currently owned — the one routine every edge-ownership path (edge
-    /// delta, endpoint rename, endpoint delete) funnels through.
-    fn reroute_edge(&mut self, graph: &GraphStore, edge_id: EdgeId) {
-        if let Some(old) = self.edge_terms.remove(&edge_id) {
-            self.partial = self.partial.wrapping_sub(old);
-        }
-        if let Some(edge) = graph.edge(edge_id) {
-            if edge_owner(graph, edge.from, self.shards) == self.shard {
-                let term = edge_digest(edge);
-                self.edge_terms.insert(edge_id, term);
-                self.partial = self.partial.wrapping_add(term);
-            }
-        }
-    }
-
-    fn apply_batch(&mut self, graph: &GraphStore, batch: &DeltaBatch) {
-        let mut dirty: BTreeSet<NodeId> = BTreeSet::new();
-        for &(edge_id, from, to) in &batch.changes.edges {
-            self.reroute_edge(graph, edge_id);
-            dirty.insert(from);
-            dirty.insert(to);
-        }
-        for &node_id in &batch.changes.nodes {
-            if let Some(old) = self.node_terms.remove(&node_id) {
-                self.partial = self.partial.wrapping_sub(old);
-            }
-            if let Some(node) = graph.node(node_id) {
-                if node_shard(node, self.shards) == self.shard {
-                    let term = node_digest(node);
-                    self.node_terms.insert(node_id, term);
-                    self.partial = self.partial.wrapping_add(term);
-                }
-            }
-            // A rename migrates the node's outgoing edges between shards
-            // without any edge delta — re-route them off the node delta.
-            for edge in graph.outgoing(node_id) {
-                self.reroute_edge(graph, edge.id);
-            }
-            dirty.insert(node_id);
-        }
-        for node_id in dirty {
-            let owned_live = graph
-                .node(node_id)
-                .is_some_and(|n| node_shard(n, self.shards) == self.shard);
-            if owned_live {
-                self.adjacency
-                    .insert(node_id, Arc::new(graph.neighbors(node_id)));
-            } else {
-                self.adjacency.remove(&node_id);
-            }
-        }
-    }
-
-    fn freeze(&mut self, graph: &mut GraphStore) -> ShardSnapshot {
-        let start = Instant::now();
-        self.absorb(graph);
-        ShardSnapshot {
-            shard: self.shard,
-            shards: self.shards,
-            version: 0,
-            partial_digest: self.partial,
-            graph: graph.clone(),
-            search: self.search.clone(),
-            adjacency: self.adjacency.clone(),
-            build_us: start.elapsed().as_micros() as u64,
-        }
-    }
-}
-
-/// The owner shard of an edge: the owner of its `from` node. Live edges
-/// always have live endpoints (deletes cascade); the id-hash arm is a
-/// defensive fallback that keeps routing total.
-fn edge_owner(graph: &GraphStore, from: NodeId, shards: usize) -> usize {
-    match graph.node(from) {
-        Some(node) => node_shard(node, shards),
-        None => id_shard(from.0, shards),
-    }
-}
-
-/// Writer-side partition state: one [`ShardEpochBuilder`] per shard plus
-/// the shared document watermark. Documents are routed exactly once,
-/// globally, in slot order — per-shard freeze skew can therefore never
-/// duplicate or drop a document, and within each partition local slot
-/// order equals global slot order (the tie-break invariant).
+/// Writer-side partition state: the one incremental [`EpochBuilder`],
+/// split into one owner slice per shard, plus each shard's posting
+/// partition and the shared document watermark. Documents are routed
+/// exactly once, globally, in slot order — per-shard freeze skew can
+/// therefore never duplicate or drop a document, and within each partition
+/// local slot order equals global slot order (the tie-break invariant).
 pub struct ShardSet {
-    builders: Vec<ShardEpochBuilder>,
+    epoch: EpochBuilder,
+    /// Each shard's posting partition (append-only, like its source).
+    partitions: Vec<SearchIndex<ShardDoc>>,
     /// Docs below this watermark have been routed into a partition.
     docs_seen: usize,
 }
 
 impl ShardSet {
-    /// Seed `shards` builders from one scan of the live graph — each
-    /// element's owner and digest term are computed once and handed to that
-    /// shard — and route every already-indexed document. The one O(graph)
-    /// moment of a shard set.
+    /// Seed the builder's `shards` slices from one scan of the live graph
+    /// and route every already-indexed document. The one O(graph) moment
+    /// of a shard set.
     pub fn new(graph: &mut GraphStore, search: &SearchIndex<NodeId>, shards: usize) -> Self {
         let shards = shards.max(1);
-        let mut builders: Vec<ShardEpochBuilder> = (0..shards)
-            .map(|shard| ShardEpochBuilder::empty(graph, shard, shards))
-            .collect();
-        // Node ids are slot indexes, so a dense table maps each live node
-        // to its owner for the edge pass.
-        let mut node_owner: Vec<Option<usize>> = vec![None; graph.node_slot_count()];
-        for node in graph.all_nodes() {
-            let owner = node_shard(node, shards);
-            node_owner[node.id.0 as usize] = Some(owner);
-            let builder = &mut builders[owner];
-            let term = node_digest(node);
-            builder.node_terms.insert(node.id, term);
-            builder.partial = builder.partial.wrapping_add(term);
-            builder
-                .adjacency
-                .insert(node.id, Arc::new(graph.neighbors(node.id)));
-        }
-        for edge in graph.all_edges() {
-            // The same fallback as `edge_owner` for a dangling `from`.
-            let owner = node_owner
-                .get(edge.from.0 as usize)
-                .copied()
-                .flatten()
-                .unwrap_or_else(|| id_shard(edge.from.0, shards));
-            let builder = &mut builders[owner];
-            let term = edge_digest(edge);
-            builder.edge_terms.insert(edge.id, term);
-            builder.partial = builder.partial.wrapping_add(term);
-        }
         let mut set = ShardSet {
-            builders,
+            epoch: EpochBuilder::sharded(graph, shards),
+            partitions: (0..shards).map(|_| SearchIndex::default()).collect(),
             docs_seen: 0,
         };
-        set.sync_docs(graph, search);
+        set.sync_docs(search);
         set
     }
 
     /// Shard count.
     pub fn shards(&self) -> usize {
-        self.builders.len()
+        self.partitions.len()
     }
 
     /// Route newly appended documents into their partitions: owner of the
-    /// subject node at routing time, sticky forever after (BM25 scoring
-    /// uses merged global stats, so *any* sticky assignment reproduces the
-    /// unsharded scores — routing only decides locality). Postings are
-    /// split by owner straight from the writer index's tails.
-    fn sync_docs(&mut self, graph: &GraphStore, search: &SearchIndex<NodeId>) {
-        let shards = self.builders.len();
-        let owner = |key: &NodeId| match graph.node(*key) {
-            Some(node) => node_shard(node, shards),
-            None => id_shard(key.0, shards),
-        };
-        let mut parts: Vec<&mut SearchIndex<ShardDoc>> =
-            self.builders.iter_mut().map(|b| &mut b.search).collect();
+    /// subject node at routing time (as of the builder's last absorb),
+    /// sticky forever after (BM25 scoring uses merged global stats, so
+    /// *any* sticky assignment reproduces the unsharded scores — routing
+    /// only decides locality). Postings are split by owner straight from
+    /// the writer index's tails.
+    fn sync_docs(&mut self, search: &SearchIndex<NodeId>) {
+        let shards = self.partitions.len();
+        let epoch = &self.epoch;
+        let owner = |key: &NodeId| epoch.owner(*key).unwrap_or_else(|| id_shard(key.0, shards));
+        let mut parts: Vec<&mut SearchIndex<ShardDoc>> = self.partitions.iter_mut().collect();
         search.route_appended(self.docs_seen, owner, &mut parts);
         self.docs_seen = search.len();
     }
 
-    /// Freeze one shard's current state (absorbing its unseen deltas and
-    /// any unrouted documents) into a publishable [`ShardSnapshot`].
+    /// Freeze one shard's current state (absorbing unseen deltas and any
+    /// unrouted documents) into a publishable [`ShardSnapshot`].
     pub fn freeze_shard(
         &mut self,
         shard: usize,
         graph: &mut GraphStore,
         search: &SearchIndex<NodeId>,
     ) -> ShardSnapshot {
-        self.sync_docs(graph, search);
-        self.builders[shard].freeze(graph)
+        let start = Instant::now();
+        self.epoch.absorb(graph);
+        self.sync_docs(search);
+        let slice = self.epoch.slice(shard);
+        ShardSnapshot {
+            shard,
+            shards: self.shards(),
+            version: 0,
+            partial_digest: slice.partial,
+            graph: graph.clone(),
+            search: self.partitions[shard].clone(),
+            adjacency: slice.adjacency.clone(),
+            build_us: start.elapsed().as_micros() as u64,
+        }
     }
 
     /// Freeze every shard at the same cut.
@@ -399,7 +259,7 @@ impl ShardSet {
         graph: &mut GraphStore,
         search: &SearchIndex<NodeId>,
     ) -> Vec<ShardSnapshot> {
-        (0..self.builders.len())
+        (0..self.shards())
             .map(|shard| self.freeze_shard(shard, graph, search))
             .collect()
     }
@@ -747,80 +607,24 @@ mod tests {
         ]
     }
 
-    /// The per-shard seeding scan the one-pass [`ShardSet::new`] replaced:
-    /// every shard walks the whole graph and recomputes every owner.
-    fn reference_seed(graph: &mut GraphStore, shard: usize, shards: usize) -> ShardEpochBuilder {
-        let mut builder = ShardEpochBuilder::empty(graph, shard, shards);
-        for node in graph.all_nodes() {
-            if node_shard(node, shards) != shard {
-                continue;
-            }
-            let term = node_digest(node);
-            builder.node_terms.insert(node.id, term);
-            builder.partial = builder.partial.wrapping_add(term);
-            builder
-                .adjacency
-                .insert(node.id, Arc::new(graph.neighbors(node.id)));
-        }
-        for edge in graph.all_edges() {
-            if edge_owner(graph, edge.from, shards) != shard {
-                continue;
-            }
-            let term = edge_digest(edge);
-            builder.edge_terms.insert(edge.id, term);
-            builder.partial = builder.partial.wrapping_add(term);
-        }
-        builder
-    }
-
     #[test]
-    fn one_pass_seeding_equals_the_per_shard_scan() {
-        let (mut graph, mut search) = demo();
-        // History the seed must see through: deletes (tombstoned slots, a
-        // cascaded edge), renames (ownership migration) and an unnamed node.
-        let m2 = graph.node_by_name("Malware", "emotet").unwrap();
+    fn one_cursor_serves_every_shard() {
+        let (mut graph, search) = demo();
+        let mut set = ShardSet::new(&mut graph, &search, 3);
+        let m1 = graph.node_by_name("Malware", "wannacry").unwrap();
         graph
-            .set_node_prop(m2, "name", Value::from("heodo"))
+            .set_node_prop(m1, "name", Value::from("wcry"))
             .unwrap();
-        let f = graph.node_by_name("FileName", "tasksche.exe").unwrap();
-        graph.delete_node(f).unwrap();
-        let anon = graph.create_node("Indicator", [("score", Value::Int(3))]);
-        let t = graph.node_by_name("Technique", "smb exploitation").unwrap();
-        graph.merge_edge(anon, "INDICATES", t).unwrap();
-        graph.merge_edge(t, "RELATED", m2).unwrap();
-        for i in 0..40 {
-            let n = graph.merge_node("Tool", &format!("tool{i}"), [] as [(&str, Value); 0]);
-            graph.merge_edge(m2, "USES", n).unwrap();
-            if i % 3 == 0 {
-                graph
-                    .set_node_prop(n, "name", Value::from(format!("renamed{i}")))
-                    .unwrap();
-            }
-            if i % 7 == 0 {
-                graph.delete_node(n).unwrap();
-            }
-            search.add(n, &format!("tool number {i} dropper"));
-        }
-        for shards in [1usize, 2, 3, 4, 7] {
-            let mut set = ShardSet::new(&mut graph, &search, shards);
-            for (shard, got) in set.builders.iter().enumerate() {
-                let want = reference_seed(&mut graph, shard, shards);
-                assert_eq!(got.partial, want.partial, "{shards} shards, shard {shard}");
-                assert_eq!(got.node_terms, want.node_terms);
-                assert_eq!(got.edge_terms, want.edge_terms);
-                assert_eq!(got.adjacency, want.adjacency);
-            }
-            let snapshots = set.freeze_all(&mut graph, &search);
-            for (shard, snapshot) in snapshots.iter().enumerate() {
-                let want = reference_seed(&mut graph, shard, shards);
-                assert_eq!(snapshot.partial_digest(), want.partial);
-                assert_eq!(snapshot.owned_count(), want.adjacency.len());
-            }
-            let partials = snapshots
-                .iter()
-                .fold(DIGEST_SEED, |acc, s| acc.wrapping_add(s.partial_digest()));
-            assert_eq!(partials, graph.digest());
-        }
+        graph.merge_node("Tool", "mimikatz", [] as [(&str, Value); 0]);
+        // Freezing any one shard absorbs the delta for all of them, so no
+        // other shard's unread batches pin the log.
+        set.freeze_shard(1, &mut graph, &search);
+        assert_eq!(graph.delta_backlog(), 0);
+        let snapshots = set.freeze_all(&mut graph, &search);
+        let partials = snapshots
+            .iter()
+            .fold(DIGEST_SEED, |acc, s| acc.wrapping_add(s.partial_digest()));
+        assert_eq!(partials, graph.digest());
     }
 
     #[test]

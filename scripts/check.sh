@@ -55,6 +55,21 @@ if ! grep -q '"correct":true' <<<"$e2e_result" || ! grep -Eq '"failed":0[,}]' <<
     exit 1
 fi
 
+echo "== e2e smoke (live_serve, 1 s, the benchmark's own oracle) =="
+# Runs the product writer's EpochBuilder freeze against the benchmark's
+# oracles: deliveries vs rescan_matches, sampled answers vs the pinned epoch
+# and the final epoch vs a rebuild. Only correctness gates: the failed count
+# also includes ticks where the 50 ms writer fell behind, which is a
+# property of the host (it trips on 2-vCPU machines), so it is printed, not
+# gated.
+e2e_result="$(python3 e2ebench/run.py --workload live_serve --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$e2e_result"
+echo "live_serve failed operations: $(grep -Eo '"failed":[0-9]+' <<<"$e2e_result" | cut -d: -f2)"
+if ! grep -q '"correct":true' <<<"$e2e_result"; then
+    echo "e2e smoke: live_serve must report correct:true" >&2
+    exit 1
+fi
+
 echo "== serving stress (elevated readers) =="
 SERVE_STRESS_READERS=8 cargo test -q --test serving
 

@@ -13,7 +13,7 @@
 //! spreads the nodes).
 
 use proptest::prelude::*;
-use securitykg::graph::{GraphStore, NodeId, Value};
+use securitykg::graph::{edge_digest, node_digest, GraphStore, NodeId, Value};
 use securitykg::search::SearchIndex;
 use securitykg::serve::{KgSnapshot, Query, ShardSet, ShardedServe};
 
@@ -125,13 +125,59 @@ fn probe_queries() -> Vec<Query> {
 }
 
 /// The differential oracle: at an all-shard barrier the scatter-gather
-/// answer must byte-match the unsharded snapshot on every probe, and the
-/// response's stamp vector must reassemble the live graph digest.
+/// answer must byte-match the unsharded snapshot on every probe, the
+/// response's stamp vector must reassemble the live graph digest, and the
+/// partition itself must be exact — the shards' owned node sets are
+/// disjoint and cover every live node, each owned node's adjacency slice
+/// equals the oracle's, and each shard's partial digest sums exactly the
+/// terms of its owned nodes and of the edges leaving them.
 fn assert_matches_oracle(
     serve: &ShardedServe,
     oracle: &KgSnapshot,
     live_digest: u64,
 ) -> Result<(), TestCaseError> {
+    let pins = serve.pin_all();
+    for node in oracle.graph().all_nodes() {
+        let owners: Vec<usize> = pins
+            .iter()
+            .filter(|pin| pin.owns(node.id))
+            .map(|pin| pin.shard())
+            .collect();
+        prop_assert_eq!(
+            owners.len(),
+            1,
+            "node {:?} owned by shards {:?}",
+            node.id,
+            owners
+        );
+        prop_assert_eq!(
+            pins[owners[0]].neighbors(node.id),
+            oracle.neighbors(node.id),
+            "adjacency slice of {:?} diverged at {} shard(s)",
+            node.id,
+            serve.shards()
+        );
+    }
+    let owned: usize = pins.iter().map(|pin| pin.owned_count()).sum();
+    prop_assert_eq!(owned, oracle.node_count(), "a shard owns a dead node");
+    for pin in &pins {
+        let graph = oracle.graph();
+        let nodes = graph
+            .all_nodes()
+            .filter(|n| pin.owns(n.id))
+            .map(node_digest);
+        let edges = graph
+            .all_edges()
+            .filter(|e| pin.owns(e.from))
+            .map(edge_digest);
+        let partial = nodes.chain(edges).fold(0u64, u64::wrapping_add);
+        prop_assert_eq!(
+            pin.partial_digest(),
+            partial,
+            "partial digest of shard {} holds another shard's terms",
+            pin.shard()
+        );
+    }
     for query in probe_queries() {
         let response = serve.execute(&query);
         prop_assert_eq!(
