@@ -20,74 +20,14 @@
 //! Smoke: `cargo run -p kg-bench --bin exp_persist --release -- --smoke`
 //! (one small cell, digest-equality check only — the CI cell).
 
-use kg_bench::Table;
-use kg_graph::{Edge, GraphStore, Node, NodeId, Value};
+use kg_bench::{apply_delta, build_graph, median, Table};
+use kg_graph::{Edge, GraphStore, Node, NodeId};
 use kg_persist::{SegmentStore, StoreOptions};
 use kg_search::{Bm25Params, SearchIndex, ShardTerms, PERSIST_SHARDS};
 use securitykg::KnowledgeBase;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// Deterministic synthetic graph: `n` nodes over a handful of labels, each
-/// wired to ~2 earlier nodes (CTI graphs are sparse), and one indexed doc
-/// per 8th node so the search index has realistic posting weight.
-fn build_graph(n: usize) -> (GraphStore, SearchIndex<NodeId>) {
-    const LABELS: [&str; 4] = ["Malware", "ThreatActor", "Tool", "FileName"];
-    let mut graph = GraphStore::new();
-    let mut search: SearchIndex<NodeId> = SearchIndex::default();
-    let mut ids: Vec<NodeId> = Vec::with_capacity(n);
-    for i in 0..n {
-        let label = LABELS[i % LABELS.len()];
-        let id = graph.create_node(
-            label,
-            [
-                ("name", Value::from(format!("{}-{i}", label.to_lowercase()))),
-                ("first_seen", Value::from(i as i64)),
-            ],
-        );
-        if i > 0 {
-            let a = ids[(i * 7 + 3) % ids.len()];
-            graph.merge_edge(a, "RELATED_TO", id).expect("node exists");
-            if i % 3 == 0 {
-                let b = ids[(i * 13 + 5) % ids.len()];
-                let _ = graph.merge_edge(id, "USE", b);
-            }
-        }
-        if i % 8 == 0 {
-            search.add(id, &format!("report {i} covering campaign wave {}", i % 17));
-        }
-        ids.push(id);
-    }
-    (graph, search)
-}
-
-/// Mutate `delta` elements: a mix of new entities (with edges), property
-/// updates on existing nodes, and the occasional deletion — the shape of an
-/// incremental ingest round.
-fn apply_delta(graph: &mut GraphStore, round: usize, delta: usize) {
-    let live: Vec<NodeId> = graph.all_nodes().map(|n| n.id).collect();
-    for j in 0..delta {
-        let salt = round * delta + j;
-        match j % 4 {
-            0 => {
-                let id =
-                    graph.create_node("Malware", [("name", Value::from(format!("fresh-{salt}")))]);
-                let peer = live[(salt * 11 + 1) % live.len()];
-                let _ = graph.merge_edge(peer, "RELATED_TO", id);
-            }
-            1 | 2 => {
-                let id = live[(salt * 17 + 7) % live.len()];
-                let _ = graph.set_node_prop(id, "last_seen", Value::from(salt as i64));
-            }
-            _ => {
-                if let Some(id) = graph.node_by_name("Malware", &format!("fresh-{}", salt - 3)) {
-                    let _ = graph.delete_node(id);
-                }
-            }
-        }
-    }
-}
 
 /// The segment counts recovery needs to know which blobs to read back —
 /// the bench-local equivalent of the durable driver's checkpoint meta.
@@ -238,12 +178,6 @@ struct CellResult {
     json_recover_us: u64,
     seg_recover_us: u64,
     digest_ok: bool,
-}
-
-/// Median of a small sample set.
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
 }
 
 fn bench_dir(tag: &str) -> PathBuf {

@@ -17,73 +17,9 @@
 //! Smoke: `cargo run -p kg-bench --bin exp_publish --release -- --smoke`
 //! (one small cell, equivalence check only — the CI cell).
 
-use kg_bench::Table;
-use kg_graph::{GraphStore, NodeId, Value};
-use kg_search::SearchIndex;
+use kg_bench::{apply_delta, build_graph, median, Table};
 use kg_serve::{EpochBuilder, KgSnapshot};
 use std::time::Instant;
-
-/// Deterministic synthetic graph: `n` nodes over a handful of labels, each
-/// wired to ~2 earlier nodes (CTI graphs are sparse), and one indexed doc
-/// per 8th node so the search index has realistic posting weight.
-fn build_graph(n: usize) -> (GraphStore, SearchIndex<NodeId>) {
-    const LABELS: [&str; 4] = ["Malware", "ThreatActor", "Tool", "FileName"];
-    let mut graph = GraphStore::new();
-    let mut search: SearchIndex<NodeId> = SearchIndex::default();
-    let mut ids: Vec<NodeId> = Vec::with_capacity(n);
-    for i in 0..n {
-        let label = LABELS[i % LABELS.len()];
-        let id = graph.create_node(
-            label,
-            [
-                ("name", Value::from(format!("{}-{i}", label.to_lowercase()))),
-                ("first_seen", Value::from(i as i64)),
-            ],
-        );
-        if i > 0 {
-            let a = ids[(i * 7 + 3) % ids.len()];
-            graph.merge_edge(a, "RELATED_TO", id).expect("node exists");
-            if i % 3 == 0 {
-                let b = ids[(i * 13 + 5) % ids.len()];
-                let _ = graph.merge_edge(id, "USE", b);
-            }
-        }
-        if i % 8 == 0 {
-            search.add(id, &format!("report {i} covering campaign wave {}", i % 17));
-        }
-        ids.push(id);
-    }
-    (graph, search)
-}
-
-/// Mutate `delta` elements: a mix of new entities (with edges), property
-/// updates on existing nodes, and the occasional deletion — the shape of an
-/// incremental ingest round.
-fn apply_delta(graph: &mut GraphStore, round: usize, delta: usize) {
-    let live: Vec<NodeId> = graph.all_nodes().map(|n| n.id).collect();
-    for j in 0..delta {
-        let salt = round * delta + j;
-        match j % 4 {
-            0 => {
-                let id =
-                    graph.create_node("Malware", [("name", Value::from(format!("fresh-{salt}")))]);
-                let peer = live[(salt * 11 + 1) % live.len()];
-                let _ = graph.merge_edge(peer, "RELATED_TO", id);
-            }
-            1 | 2 => {
-                let id = live[(salt * 17 + 7) % live.len()];
-                let _ = graph.set_node_prop(id, "last_seen", Value::from(salt as i64));
-            }
-            _ => {
-                // Delete one of this round's own fresh nodes, if any —
-                // keeps the graph size stable-ish and exercises removal.
-                if let Some(id) = graph.node_by_name("Malware", &format!("fresh-{}", salt - 3)) {
-                    let _ = graph.delete_node(id);
-                }
-            }
-        }
-    }
-}
 
 struct CellResult {
     nodes: usize,
@@ -91,12 +27,6 @@ struct CellResult {
     full_us: u64,
     incremental_us: u64,
     digest_ok: bool,
-}
-
-/// Median of a small sample set.
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
 }
 
 /// One sweep cell: on an n-node graph, repeat (mutate `delta` elements,

@@ -32,7 +32,7 @@
 //! Smoke: `cargo run -p kg-bench --bin exp_recover_decode --release -- --smoke`
 //! (one small cell, digest-equality check only — the CI cell).
 
-use kg_bench::Table;
+use kg_bench::{apply_delta, median, Table};
 use kg_graph::{GraphStore, NodeId, Value};
 use kg_persist::{SegmentStore, StoreOptions};
 use kg_search::{Bm25Params, SearchIndex, ShardTerms, PERSIST_SHARDS};
@@ -77,32 +77,6 @@ fn build_graph(n: usize) -> (GraphStore, SearchIndex<NodeId>) {
         ids.push(id);
     }
     (graph, search)
-}
-
-/// Mutate `delta` elements per round — new entities, property updates, the
-/// occasional delete — the shape of an incremental ingest round.
-fn apply_delta(graph: &mut GraphStore, round: usize, delta: usize) {
-    let live: Vec<NodeId> = graph.all_nodes().map(|n| n.id).collect();
-    for j in 0..delta {
-        let salt = round * delta + j;
-        match j % 4 {
-            0 => {
-                let id =
-                    graph.create_node("Malware", [("name", Value::from(format!("fresh-{salt}")))]);
-                let peer = live[(salt * 11 + 1) % live.len()];
-                let _ = graph.merge_edge(peer, "RELATED_TO", id);
-            }
-            1 | 2 => {
-                let id = live[(salt * 17 + 7) % live.len()];
-                let _ = graph.set_node_prop(id, "last_seen", Value::from(salt as i64));
-            }
-            _ => {
-                if let Some(id) = graph.node_by_name("Malware", &format!("fresh-{}", salt - 3)) {
-                    let _ = graph.delete_node(id);
-                }
-            }
-        }
-    }
 }
 
 #[derive(Serialize, Deserialize)]
@@ -370,11 +344,6 @@ struct CellResult {
     bin_decode_us: u64,
     bin_validate_us: u64,
     digest_ok: bool,
-}
-
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
 }
 
 fn bench_dir(tag: &str) -> PathBuf {

@@ -19,7 +19,7 @@
 //! Smoke: `cargo run -p kg-bench --bin exp_subscribe --release -- --smoke`
 //! (one small cell, oracle-equality check only — the CI cell).
 
-use kg_bench::Table;
+use kg_bench::{apply_delta, median, Table};
 use kg_graph::{GraphStore, NodeId, Value};
 use kg_search::SearchIndex;
 use kg_serve::{
@@ -57,32 +57,6 @@ fn build_graph(n: usize) -> (GraphStore, SearchIndex<NodeId>) {
     (graph, search)
 }
 
-/// Mutate `delta` elements: fresh entities with edges, property updates,
-/// the occasional deletion — an incremental ingest round.
-fn apply_delta(graph: &mut GraphStore, round: usize, delta: usize) {
-    let live: Vec<NodeId> = graph.all_nodes().map(|n| n.id).collect();
-    for j in 0..delta {
-        let salt = round * delta + j;
-        match j % 4 {
-            0 => {
-                let id =
-                    graph.create_node("Malware", [("name", Value::from(format!("fresh-{salt}")))]);
-                let peer = live[(salt * 11 + 1) % live.len()];
-                let _ = graph.merge_edge(peer, "RELATED_TO", id);
-            }
-            1 | 2 => {
-                let id = live[(salt * 17 + 7) % live.len()];
-                let _ = graph.set_node_prop(id, "last_seen", Value::from(salt as i64));
-            }
-            _ => {
-                if let Some(id) = graph.node_by_name("Malware", &format!("fresh-{}", salt - 3)) {
-                    let _ = graph.delete_node(id);
-                }
-            }
-        }
-    }
-}
-
 /// A varied pool of `count` watch specs: label watches, compiled
 /// predicates over names/props, and edge watches spread over the graph.
 fn make_specs(count: usize, graph: &GraphStore) -> Vec<WatchSpec> {
@@ -117,11 +91,6 @@ struct CellResult {
     matched: u64,
     accounting_ok: bool,
     oracle_ok: bool,
-}
-
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
 }
 
 /// One sweep cell: register `subs` subscriptions over an `n`-node graph,

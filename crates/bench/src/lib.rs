@@ -2,6 +2,8 @@
 //! (E1–E18 in DESIGN.md and EXPERIMENTS.md).
 
 use kg_corpus::{standard_sources, SimulatedWeb, World, WorldConfig};
+use kg_graph::{GraphStore, NodeId, Value};
+use kg_search::SearchIndex;
 
 /// Far-future simulated timestamp: every article is published.
 pub const FOREVER: u64 = u64::MAX / 4;
@@ -19,6 +21,76 @@ pub fn standard_web(articles_per_source: usize, seed: u64) -> SimulatedWeb {
 pub fn small_web(seed: u64) -> SimulatedWeb {
     let world = World::generate(WorldConfig::tiny(seed));
     SimulatedWeb::new(world, standard_sources(10), seed)
+}
+
+// ---- synthetic-graph fixture (E13, E14, E15, E18) -------------------------
+
+/// Deterministic synthetic graph: `n` nodes over a handful of labels, each
+/// wired to ~2 earlier nodes (CTI graphs are sparse), and one indexed doc
+/// per 8th node so the search index has realistic posting weight.
+pub fn build_graph(n: usize) -> (GraphStore, SearchIndex<NodeId>) {
+    const LABELS: [&str; 4] = ["Malware", "ThreatActor", "Tool", "FileName"];
+    let mut graph = GraphStore::new();
+    let mut search: SearchIndex<NodeId> = SearchIndex::default();
+    let mut ids: Vec<NodeId> = Vec::with_capacity(n);
+    for i in 0..n {
+        let label = LABELS[i % LABELS.len()];
+        let id = graph.create_node(
+            label,
+            [
+                ("name", Value::from(format!("{}-{i}", label.to_lowercase()))),
+                ("first_seen", Value::from(i as i64)),
+            ],
+        );
+        if i > 0 {
+            let a = ids[(i * 7 + 3) % ids.len()];
+            graph.merge_edge(a, "RELATED_TO", id).expect("node exists");
+            if i % 3 == 0 {
+                let b = ids[(i * 13 + 5) % ids.len()];
+                let _ = graph.merge_edge(id, "USE", b);
+            }
+        }
+        if i % 8 == 0 {
+            search.add(id, &format!("report {i} covering campaign wave {}", i % 17));
+        }
+        ids.push(id);
+    }
+    (graph, search)
+}
+
+/// Mutate `delta` elements: a mix of new entities (with edges), property
+/// updates on existing nodes, and the occasional deletion — the shape of an
+/// incremental ingest round.
+pub fn apply_delta(graph: &mut GraphStore, round: usize, delta: usize) {
+    let live: Vec<NodeId> = graph.all_nodes().map(|n| n.id).collect();
+    for j in 0..delta {
+        let salt = round * delta + j;
+        match j % 4 {
+            0 => {
+                let id =
+                    graph.create_node("Malware", [("name", Value::from(format!("fresh-{salt}")))]);
+                let peer = live[(salt * 11 + 1) % live.len()];
+                let _ = graph.merge_edge(peer, "RELATED_TO", id);
+            }
+            1 | 2 => {
+                let id = live[(salt * 17 + 7) % live.len()];
+                let _ = graph.set_node_prop(id, "last_seen", Value::from(salt as i64));
+            }
+            _ => {
+                // Delete one of this round's own fresh nodes, if any —
+                // keeps the graph size stable-ish and exercises removal.
+                if let Some(id) = graph.node_by_name("Malware", &format!("fresh-{}", salt - 3)) {
+                    let _ = graph.delete_node(id);
+                }
+            }
+        }
+    }
+}
+
+/// Median of a small sample set.
+pub fn median(mut xs: Vec<u64>) -> u64 {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
 }
 
 /// Minimal fixed-width table printer for experiment output.

@@ -479,18 +479,20 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         return Err("missing search keywords".into());
     }
     let query = positional.join(" ");
-    let hits = kb.keyword_search(&query, 10);
+    let snapshot = kb.into_serving();
+    let hits = snapshot.keyword_search(&query, 10);
     if hits.is_empty() {
         println!("no results for {query:?}");
         return Ok(());
     }
+    let graph = snapshot.graph();
     for id in hits {
-        let node = kb.graph.node(id).unwrap();
+        let node = graph.node(id).unwrap();
         println!(
             "[{}] {} (degree {})",
             node.label,
             node.name().unwrap_or("?"),
-            kb.graph.degree(id)
+            graph.degree(id)
         );
     }
     Ok(())
@@ -640,7 +642,6 @@ fn parse_watch_line(
 /// N times through the incremental epoch path while the readers run.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use securitykg::serve::{percentile, EpochBuilder, KgServe, Query, SubscriptionHub};
-    use std::time::Instant;
 
     let (flags, _) = parse_flags(args);
     let kb = load_kb(&flags)?;
@@ -761,70 +762,46 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     );
     let serve = KgServe::new(snapshot, cache_entries);
 
-    let wall = Instant::now();
-    let mut latencies: Vec<Vec<u64>> = Vec::new();
-    let mut publish_us: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for reader in 0..readers {
-            let serve = &serve;
-            let queries = &queries;
-            handles.push(scope.spawn(move || {
-                let mut lat = Vec::with_capacity(rounds * queries.len());
-                for round in 0..rounds {
-                    // Stagger start offsets so readers don't walk in lockstep.
-                    let offset = (reader + round) % queries.len();
-                    for i in 0..queries.len() {
-                        let query = &queries[(offset + i) % queries.len()];
-                        let t = Instant::now();
-                        let response = serve.execute(query);
-                        lat.push(t.elapsed().as_micros() as u64);
-                        std::hint::black_box(&response);
+    let writer = writer_state.map(|(mut graph, search)| {
+        let serve = &serve;
+        let hub = hub.as_ref();
+        move || {
+            let mut epoch = EpochBuilder::new(&mut graph);
+            let target = graph.all_nodes().next().map(|n| n.id);
+            let mut us = Vec::with_capacity(publishes);
+            for i in 0..publishes {
+                if let Some(id) = target {
+                    let _ = graph.set_node_prop(
+                        id,
+                        "serve_epoch",
+                        securitykg::graph::Value::from(i as i64),
+                    );
+                }
+                let snap = epoch.freeze(&mut graph, &search);
+                us.push(snap.build_us());
+                match hub {
+                    Some(hub) => {
+                        serve.publish_watched(hub, &mut graph, snap);
+                    }
+                    None => {
+                        serve.publish(snap);
                     }
                 }
-                lat
-            }));
-        }
-        let writer = writer_state.take().map(|(mut graph, search)| {
-            let serve = &serve;
-            let hub = hub.as_ref();
-            scope.spawn(move || {
-                let mut epoch = EpochBuilder::new(&mut graph);
-                let target = graph.all_nodes().next().map(|n| n.id);
-                let mut us = Vec::with_capacity(publishes);
-                for i in 0..publishes {
-                    if let Some(id) = target {
-                        let _ = graph.set_node_prop(
-                            id,
-                            "serve_epoch",
-                            securitykg::graph::Value::from(i as i64),
-                        );
-                    }
-                    let snap = epoch.freeze(&mut graph, &search);
-                    us.push(snap.build_us());
-                    match hub {
-                        Some(hub) => {
-                            serve.publish_watched(hub, &mut graph, snap);
-                        }
-                        None => {
-                            serve.publish(snap);
-                        }
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                us
-            })
-        });
-        for handle in handles {
-            latencies.push(handle.join().expect("reader thread"));
-        }
-        if let Some(writer) = writer {
-            publish_us = writer.join().expect("writer thread");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            us
         }
     });
-    let wall_us = wall.elapsed().as_micros().max(1) as u64;
-
-    let mut all: Vec<u64> = latencies.into_iter().flatten().collect();
+    let load = run_readers(
+        &queries,
+        readers,
+        rounds,
+        |query| serve.execute(query),
+        writer,
+    );
+    let mut all = load.latencies_us;
+    let mut publish_us = load.writer_us;
+    let wall_us = load.wall_us;
     let total = all.len() as u64;
     let stats = serve.stats();
     serve.record_cache_report();
@@ -919,62 +896,39 @@ fn serve_sharded(
         ));
     }
 
-    let wall = Instant::now();
-    let mut latencies: Vec<Vec<u64>> = Vec::new();
-    let mut publish_us: Vec<u64> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for reader in 0..readers {
-            let serve = &serve;
-            handles.push(scope.spawn(move || {
-                let mut lat = Vec::with_capacity(rounds * queries.len());
-                for round in 0..rounds {
-                    let offset = (reader + round) % queries.len();
-                    for i in 0..queries.len() {
-                        let query = &queries[(offset + i) % queries.len()];
-                        let t = Instant::now();
-                        let response = serve.execute(query);
-                        lat.push(t.elapsed().as_micros() as u64);
-                        debug_assert_eq!(response.vector.len(), shards);
-                        std::hint::black_box(&response);
-                    }
+    let writer = (publishes > 0).then(|| {
+        let serve = &serve;
+        let search = &search;
+        move || {
+            let mut graph = graph;
+            let mut set = set;
+            let target = graph.all_nodes().next().map(|n| n.id);
+            let mut us = Vec::with_capacity(publishes);
+            for i in 0..publishes {
+                if let Some(id) = target {
+                    let _ = graph.set_node_prop(
+                        id,
+                        "serve_epoch",
+                        securitykg::graph::Value::from(i as i64),
+                    );
                 }
-                lat
-            }));
-        }
-        let writer = (publishes > 0).then(|| {
-            let serve = &serve;
-            scope.spawn(move || {
-                let mut graph = graph;
-                let mut set = set;
-                let target = graph.all_nodes().next().map(|n| n.id);
-                let mut us = Vec::with_capacity(publishes);
-                for i in 0..publishes {
-                    if let Some(id) = target {
-                        let _ = graph.set_node_prop(
-                            id,
-                            "serve_epoch",
-                            securitykg::graph::Value::from(i as i64),
-                        );
-                    }
-                    let snap = set.freeze_shard(i % shards, &mut graph, &search);
-                    us.push(snap.build_us());
-                    serve.publish_shard(snap);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                us
-            })
-        });
-        for handle in handles {
-            latencies.push(handle.join().expect("reader thread"));
-        }
-        if let Some(writer) = writer {
-            publish_us = writer.join().expect("writer thread");
+                let snap = set.freeze_shard(i % shards, &mut graph, search);
+                us.push(snap.build_us());
+                serve.publish_shard(snap);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            us
         }
     });
-    let wall_us = wall.elapsed().as_micros().max(1) as u64;
-
-    let mut all: Vec<u64> = latencies.into_iter().flatten().collect();
+    let execute = |query: &securitykg::serve::Query| {
+        let response = serve.execute(query);
+        debug_assert_eq!(response.vector.len(), shards);
+        response
+    };
+    let load = run_readers(queries, readers, rounds, execute, writer);
+    let mut all = load.latencies_us;
+    let mut publish_us = load.writer_us;
+    let wall_us = load.wall_us;
     let total = all.len() as u64;
     let stats = serve.stats();
     println!(
@@ -1009,6 +963,62 @@ fn serve_sharded(
         println!("final shard stamps: [{}]", stamps.join(", "));
     }
     Ok(())
+}
+
+/// What [`run_readers`] measured.
+struct ReaderLoad {
+    /// Every query's latency, µs, reader by reader.
+    latencies_us: Vec<u64>,
+    /// Wall time from the first reader's start to the last join, µs.
+    wall_us: u64,
+    /// What the concurrent writer returned (empty without one).
+    writer_us: Vec<u64>,
+}
+
+/// Run `readers` threads, each answering `queries` `rounds` times through
+/// `execute` from a start offset staggered by reader and round (so readers
+/// don't walk in lockstep), beside an optional `writer` thread.
+fn run_readers<R>(
+    queries: &[securitykg::serve::Query],
+    readers: usize,
+    rounds: usize,
+    execute: impl Fn(&securitykg::serve::Query) -> R + Sync,
+    writer: Option<impl FnOnce() -> Vec<u64> + Send>,
+) -> ReaderLoad {
+    let wall = std::time::Instant::now();
+    let (latencies, writer_us) = std::thread::scope(|scope| {
+        let execute = &execute;
+        let handles: Vec<_> = (0..readers)
+            .map(|reader| {
+                scope.spawn(move || {
+                    let mut lat = Vec::with_capacity(rounds * queries.len());
+                    for round in 0..rounds {
+                        let offset = (reader + round) % queries.len();
+                        for i in 0..queries.len() {
+                            let query = &queries[(offset + i) % queries.len()];
+                            let t = std::time::Instant::now();
+                            let response = execute(query);
+                            lat.push(t.elapsed().as_micros() as u64);
+                            std::hint::black_box(&response);
+                        }
+                    }
+                    lat
+                })
+            })
+            .collect();
+        let writer = writer.map(|w| scope.spawn(w));
+        let latencies: Vec<u64> = handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("reader thread"))
+            .collect();
+        let writer_us = writer.map_or_else(Vec::new, |w| w.join().expect("writer thread"));
+        (latencies, writer_us)
+    });
+    ReaderLoad {
+        latencies_us: latencies,
+        wall_us: wall.elapsed().as_micros().max(1) as u64,
+        writer_us,
+    }
 }
 
 fn cmd_hunt(args: &[String]) -> Result<(), String> {

@@ -326,26 +326,17 @@ impl SecurityKg {
     }
 
     /// Keyword search (Elasticsearch path in the paper's UI): returns
-    /// matching *report* nodes plus the entity nodes they describe.
+    /// matching *report* nodes plus the entity nodes they describe — the
+    /// serving layer's composition, with a name lookup that also matches
+    /// fused aliases.
     pub fn keyword_search(&self, query: &str, k: usize) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        // Entity whose canonical name (or alias) matches directly, first
-        // (query lowercased once, not once per entity kind).
-        let lowered = query.to_lowercase();
-        for label in kg_ontology::EntityKind::ALL {
-            if let Some(id) = self.find_entity_lowered(label.label(), &lowered) {
-                if !out.contains(&id) {
-                    out.push(id);
-                }
-            }
-        }
-        for hit in self.connector.search.search(query, k) {
-            if !out.contains(&hit.doc) {
-                out.push(hit.doc);
-            }
-        }
-        out.truncate(k.max(1));
-        out
+        let bm25 = self.connector.search.search(query, k);
+        kg_serve::keyword_search(
+            query,
+            k,
+            |label, name| self.find_entity_lowered(label, name),
+            bm25.into_iter().map(|hit| hit.doc),
+        )
     }
 
     /// Cypher query (Neo4j path in the paper's UI).

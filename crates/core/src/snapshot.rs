@@ -31,25 +31,6 @@ impl KnowledgeBase {
     pub fn into_serving(self) -> kg_serve::KgSnapshot {
         kg_serve::KgSnapshot::build(self.graph, self.search)
     }
-
-    /// Keyword search over the stored index (+ direct name hits).
-    pub fn keyword_search(&self, query: &str, k: usize) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        // Lowercase the query once, not once per entity kind.
-        let lowered = query.to_lowercase();
-        for kind in kg_ontology::EntityKind::ALL {
-            if let Some(id) = self.graph.node_by_name(kind.label(), &lowered) {
-                out.push(id);
-            }
-        }
-        for hit in self.search.search(query, k) {
-            if !out.contains(&hit.doc) {
-                out.push(hit.doc);
-            }
-        }
-        out.truncate(k.max(1));
-        out
-    }
 }
 
 impl crate::SecurityKg {
@@ -86,7 +67,15 @@ mod tests {
         let kb = KnowledgeBase::from_bytes(&bytes).unwrap();
         assert_eq!(kb.graph.node_count(), kg.graph().node_count());
 
-        // Keyword search works on the restored index.
+        // Read-only Cypher works on the restored graph.
+        let r = kb
+            .graph
+            .query_readonly("MATCH (n:CtiVendor) RETURN count(*)")
+            .unwrap();
+        assert!(r.rows[0][0].as_int().unwrap() > 0);
+
+        // Keyword search works on the restored index, through the snapshot
+        // the KB serves from.
         let malware = kb.graph.nodes_with_label("Malware");
         assert!(!malware.is_empty());
         let name = kb
@@ -96,14 +85,8 @@ mod tests {
             .name()
             .unwrap()
             .to_owned();
-        assert!(kb.keyword_search(&name, 5).contains(&malware[0]));
-
-        // Read-only Cypher works on the restored graph.
-        let r = kb
-            .graph
-            .query_readonly("MATCH (n:CtiVendor) RETURN count(*)")
-            .unwrap();
-        assert!(r.rows[0][0].as_int().unwrap() > 0);
+        let snapshot = kb.into_serving();
+        assert!(snapshot.keyword_search(&name, 5).contains(&malware[0]));
     }
 
     #[test]

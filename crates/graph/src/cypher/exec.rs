@@ -1,9 +1,10 @@
 //! Query execution: backtracking pattern matching + expression evaluation.
 //!
 //! This is the *interpreted* executor. The compiled planner
-//! ([`super::planner`]) is the production read path; this module remains the
-//! semantics reference — the differential test battery asserts the compiled
-//! engine byte-matches it on arbitrary graphs and queries.
+//! ([`super::planner`]) is the production read path, sharded or not; this
+//! module runs writes and remains the read semantics reference — the
+//! differential test battery asserts the compiled engine byte-matches it on
+//! arbitrary graphs, queries and ownership partitions.
 
 use super::{CmpOp, CypherError, Direction, Expr, NodePattern, Params, Pattern, Query, Return};
 use crate::store::{EdgeId, GraphStore, NodeId};
@@ -636,256 +637,6 @@ fn project(
     })
 }
 
-// ---- sharded scatter-gather ---------------------------------------------------
-
-/// One materialized row produced by [`scatter_match`] on the shard owning
-/// its anchor node. Values are evaluated shard-side (each shard holds a
-/// full replica, so property lookups resolve locally); the gather side
-/// re-orders by `(anchor, seq)` and re-runs the projection pipeline over
-/// the materialized values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScatterRow {
-    /// The first pattern's first-node binding — the row's routing anchor.
-    pub anchor: NodeId,
-    /// Per-shard running row number; for a fixed anchor, local generation
-    /// order equals global generation order.
-    pub seq: u32,
-    /// Per RETURN item: the evaluated expression, except aggregates —
-    /// `count(expr)` stores the evaluated inner expression (so gather can
-    /// count non-NULLs) and `count(*)` stores a NULL placeholder.
-    pub items: Vec<Value>,
-    /// The ORDER BY expression evaluated against the source row; only
-    /// populated on the non-aggregate path, where ordering is per-row.
-    pub order: Option<Value>,
-}
-
-/// Shard-side half of a scatter-gather read: run the match/filter pipeline
-/// restricted to rows whose *anchor* — the first pattern's first-node
-/// candidate — satisfies `owns`, and materialize each surviving row's
-/// RETURN-item and ORDER BY values.
-///
-/// Every global row has exactly one anchor, so running this on each shard
-/// of a partition (with `owns` = that shard's ownership test) produces
-/// every row of [`execute_read`] exactly once across the fleet. Candidate
-/// enumeration is ascending-id on every path (ids are dense and never
-/// reused; the label and name indexes preserve creation order), so sorting
-/// the union by `(anchor, seq)` reproduces the single-store row order
-/// exactly — later patterns and path extensions run against the shard's
-/// full replica and are anchor-local.
-pub fn scatter_match(
-    store: &GraphStore,
-    query: &Query,
-    owns: &dyn Fn(NodeId) -> bool,
-) -> Result<Vec<ScatterRow>, CypherError> {
-    scatter_match_with_params(store, query, &Params::new(), owns)
-}
-
-/// [`scatter_match`] with `$param` bindings.
-pub fn scatter_match_with_params(
-    store: &GraphStore,
-    query: &Query,
-    params: &Params,
-    owns: &dyn Fn(NodeId) -> bool,
-) -> Result<Vec<ScatterRow>, CypherError> {
-    let Query::Read {
-        patterns,
-        filter,
-        ret,
-    } = query
-    else {
-        return Err(CypherError::Exec(
-            "write query on the read-only path".into(),
-        ));
-    };
-    // First pattern: enumerate anchors, keep only owned ones.
-    let first = &patterns[0];
-    let empty = Row::new();
-    let mut anchored: Vec<(NodeId, Row)> = Vec::new();
-    for start in candidates(store, &first.nodes[0], &empty) {
-        if !owns(start) {
-            continue;
-        }
-        let mut row = Row::new();
-        if let Some(var) = &first.nodes[0].var {
-            row.insert(var.clone(), Binding::Node(start));
-        }
-        let mut out = Vec::new();
-        extend(store, first, 0, start, row, &mut Vec::new(), &mut out);
-        anchored.extend(out.into_iter().map(|r| (start, r)));
-    }
-    // Remaining patterns join against the full replica, anchor unchanged.
-    for pattern in &patterns[1..] {
-        let mut next = Vec::new();
-        for (anchor, row) in anchored {
-            let mut out = Vec::new();
-            match_pattern(store, pattern, row, &mut out);
-            next.extend(out.into_iter().map(|r| (anchor, r)));
-        }
-        anchored = next;
-    }
-    // WHERE.
-    let mut filtered = Vec::with_capacity(anchored.len());
-    for (anchor, row) in anchored {
-        match filter {
-            None => filtered.push((anchor, row)),
-            Some(expr) => {
-                if eval(store, &row, expr, params)?.truthy() {
-                    filtered.push((anchor, row));
-                }
-            }
-        }
-    }
-    // Materialize RETURN items (and the ORDER BY key when it is per-row).
-    let per_row_order = ret.order_by.is_some() && !ret.items.iter().any(|i| i.expr.is_aggregate());
-    let mut out = Vec::with_capacity(filtered.len());
-    for (seq, (anchor, row)) in filtered.into_iter().enumerate() {
-        let mut items = Vec::with_capacity(ret.items.len());
-        for item in &ret.items {
-            items.push(match &item.expr {
-                Expr::CountStar => Value::Null,
-                Expr::Count(inner) => eval(store, &row, inner, params)?,
-                expr => eval(store, &row, expr, params)?,
-            });
-        }
-        let order = match &ret.order_by {
-            Some((expr, _)) if per_row_order => Some(eval(store, &row, expr, params)?),
-            _ => None,
-        };
-        out.push(ScatterRow {
-            anchor,
-            seq: seq as u32,
-            items,
-            order,
-        });
-    }
-    Ok(out)
-}
-
-/// Gather-side half of a scatter-gather read: merge the shards'
-/// [`ScatterRow`]s back into global row order and re-run the projection
-/// pipeline — implicit aggregate grouping, ORDER BY, DISTINCT, SKIP,
-/// LIMIT — over the materialized values. Needs no store access: every
-/// value was evaluated shard-side.
-pub fn gather_project(query: &Query, scatter: Vec<ScatterRow>) -> Result<QueryResult, CypherError> {
-    let Query::Read { ret, .. } = query else {
-        return Err(CypherError::Exec(
-            "write query on the read-only path".into(),
-        ));
-    };
-    gather_project_ret(ret, scatter)
-}
-
-/// [`gather_project`] over a bare RETURN clause — the entry point compiled
-/// plans use, so interpreted and compiled scatter-gather share one merge.
-pub fn gather_project_ret(
-    ret: &Return,
-    mut scatter: Vec<ScatterRow>,
-) -> Result<QueryResult, CypherError> {
-    scatter.sort_by(|a, b| a.anchor.cmp(&b.anchor).then(a.seq.cmp(&b.seq)));
-    let columns: Vec<String> = ret
-        .items
-        .iter()
-        .map(|i| i.alias.clone().unwrap_or_else(|| i.text.trim().to_owned()))
-        .collect();
-    let has_aggregate = ret.items.iter().any(|i| i.expr.is_aggregate());
-
-    let mut out_rows: Vec<Vec<Value>> = Vec::new();
-    if has_aggregate {
-        // Implicit grouping by the non-aggregate items, first-seen order —
-        // the same walk `project` does, over the materialized values.
-        let mut groups: Vec<(Vec<Value>, Vec<&ScatterRow>)> = Vec::new();
-        for row in &scatter {
-            let key: Vec<Value> = ret
-                .items
-                .iter()
-                .zip(&row.items)
-                .filter(|(i, _)| !i.expr.is_aggregate())
-                .map(|(_, v)| v.clone())
-                .collect();
-            match groups
-                .iter_mut()
-                .find(|(k, _)| k.len() == key.len() && k.iter().zip(&key).all(|(a, b)| a == b))
-            {
-                Some((_, members)) => members.push(row),
-                None => groups.push((key, vec![row])),
-            }
-        }
-        for (key, members) in groups {
-            let mut row_out = Vec::with_capacity(ret.items.len());
-            let mut key_iter = key.into_iter();
-            for (col, item) in ret.items.iter().enumerate() {
-                match &item.expr {
-                    Expr::CountStar => row_out.push(Value::Int(members.len() as i64)),
-                    Expr::Count(_) => {
-                        let n = members
-                            .iter()
-                            .filter(|m| !matches!(m.items[col], Value::Null))
-                            .count();
-                        row_out.push(Value::Int(n as i64));
-                    }
-                    _ => row_out.push(key_iter.next().unwrap_or(Value::Null)),
-                }
-            }
-            out_rows.push(row_out);
-        }
-        if let Some((expr, asc)) = &ret.order_by {
-            if let Some(col) = ret.items.iter().position(|i| &i.expr == expr) {
-                out_rows.sort_by(|a, b| {
-                    let o = a[col].cmp_order(&b[col]);
-                    if *asc {
-                        o
-                    } else {
-                        o.reverse()
-                    }
-                });
-            }
-        }
-    } else {
-        let mut keyed: Vec<(Option<Value>, Vec<Value>)> =
-            scatter.into_iter().map(|r| (r.order, r.items)).collect();
-        if ret.order_by.is_some() {
-            let asc = ret.order_by.as_ref().map(|(_, asc)| *asc).unwrap_or(true);
-            keyed.sort_by(|a, b| {
-                let o =
-                    a.0.as_ref()
-                        .unwrap_or(&Value::Null)
-                        .cmp_order(b.0.as_ref().unwrap_or(&Value::Null));
-                if asc {
-                    o
-                } else {
-                    o.reverse()
-                }
-            });
-        }
-        out_rows = keyed.into_iter().map(|(_, items)| items).collect();
-    }
-
-    if ret.distinct {
-        let mut seen: Vec<Vec<Value>> = Vec::new();
-        out_rows.retain(|row| {
-            if seen.iter().any(|s| s == row) {
-                false
-            } else {
-                seen.push(row.clone());
-                true
-            }
-        });
-    }
-    let skip = ret.skip.unwrap_or(0);
-    if skip > 0 {
-        out_rows.drain(..skip.min(out_rows.len()));
-    }
-    if let Some(limit) = ret.limit {
-        out_rows.truncate(limit);
-    }
-
-    Ok(QueryResult {
-        columns,
-        rows: out_rows,
-        stats: WriteStats::default(),
-    })
-}
-
 // ---- writes -------------------------------------------------------------------
 
 fn create_pattern(
@@ -1189,35 +940,6 @@ mod tests {
             .query("MATCH (n) WHERE n.missing <> 'x' RETURN n")
             .unwrap();
         assert!(r.rows.is_empty(), "NULL <> x is NULL, not true");
-    }
-
-    #[test]
-    fn scatter_gather_reassembles_execute_read_exactly() {
-        let g = demo_store();
-        for query_text in [
-            "MATCH (n) WHERE n.name CONTAINS 'o' RETURN n.name ORDER BY n.name",
-            "MATCH (a)-[:USES]->(t:Technique) RETURN a.name, count(t) AS uses ORDER BY count(t) DESC",
-            "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a)-[:USES]->(t) RETURN t.name",
-            "MATCH (n:Technique) RETURN count(*)",
-            "MATCH (a)-[:USES]->(t) RETURN DISTINCT t.name ORDER BY t.name SKIP 1 LIMIT 1",
-            "MATCH (e:Malware {name: 'emotet'})-[:USES]->(t), (a:ThreatActor)-[:USES]->(t) \
-             RETURN a.name, t.name",
-        ] {
-            let query = super::super::parse(query_text).unwrap();
-            let plain = execute_read(&g, &query).unwrap();
-            // Fan out over 3 "shards" owning ids by residue, merge, project.
-            for shards in [1u64, 2, 3] {
-                let mut rows = Vec::new();
-                for shard in 0..shards {
-                    rows.extend(
-                        scatter_match(&g, &query, &|id: NodeId| id.0 % shards == shard).unwrap(),
-                    );
-                }
-                let merged = gather_project(&query, rows).unwrap();
-                assert_eq!(plain.columns, merged.columns, "{query_text}");
-                assert_eq!(plain.rows, merged.rows, "{query_text} at {shards} shards");
-            }
-        }
     }
 
     #[test]

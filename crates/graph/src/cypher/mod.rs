@@ -23,12 +23,11 @@ mod parser;
 pub mod planner;
 
 pub use exec::{
-    execute, execute_read, execute_read_with_params, execute_with_params, gather_project,
-    gather_project_ret, node_satisfies, scatter_match, scatter_match_with_params, QueryResult,
-    ScatterRow,
+    execute, execute_read, execute_read_with_params, execute_with_params, node_satisfies,
+    QueryResult,
 };
 pub use parser::{parse, parse_predicate, MAX_EXPR_DEPTH, MAX_PATTERN_HOPS};
-pub use planner::{CompiledNodePredicate, CompiledPlan};
+pub use planner::{CompiledNodePredicate, CompiledPlan, ScatterRow};
 
 use crate::value::Value;
 

@@ -11,9 +11,16 @@
 //! references (`$name`) resolve at execution time, so one plan serves many
 //! bindings.
 //!
+//! A plan runs through one pipeline whether one snapshot or N shards
+//! answer: [`CompiledPlan::scatter_on`] matches, filters and materializes
+//! the rows whose anchor a snapshot owns, and [`CompiledPlan::gather`]
+//! merges and projects them. [`CompiledPlan::execute_on`] is the unsharded
+//! call — one scatter owning every anchor, then the gather.
+//!
 //! Correctness contract: for every query and every snapshot,
 //! `plan.execute_on(snap, params)` returns byte-identical results (and
-//! errors) to the interpreted oracle in [`super::exec`]. The differential
+//! errors) to the interpreted oracle in [`super::exec`], and the gather of
+//! any ownership partition's scatters equals it too. The differential
 //! proptest battery in `tests/plan_props.rs` enforces this. The subtle part
 //! is scan selection under WHERE-conjunct lifting: narrowing candidates via
 //! the property index must not skip rows whose filter evaluation would have
@@ -22,8 +29,8 @@
 //! infallible under the current bindings — otherwise the plan degrades to
 //! the interpreter's own scan at bind time.
 
-use super::exec::{gather_project_ret, QueryResult, ScatterRow};
-use super::{CmpOp, CypherError, Direction, Expr, NodePattern, Params, Query, Return};
+use super::exec::QueryResult;
+use super::{CmpOp, CypherError, Direction, Expr, NodePattern, Params, Query};
 use crate::snapshot::GraphSnapshot;
 use crate::store::{EdgeId, NodeId};
 use crate::value::Value;
@@ -161,6 +168,27 @@ struct LiftedEq {
     prefix_has_aggregate: bool,
 }
 
+/// One materialized row produced by [`CompiledPlan::scatter_on`] on the
+/// snapshot (or shard) owning its anchor node. Values are evaluated
+/// scatter-side (each shard holds a full replica, so property lookups
+/// resolve locally); [`CompiledPlan::gather`] re-orders by `(anchor, seq)`
+/// and runs the projection over the materialized values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScatterRow {
+    /// The first pattern's first-node binding — the row's routing anchor.
+    pub anchor: NodeId,
+    /// Per-scatter running row number; for a fixed anchor, local generation
+    /// order equals global generation order.
+    pub seq: u32,
+    /// Per RETURN item: the evaluated expression, except aggregates —
+    /// `count(expr)` stores the evaluated inner expression (so gather can
+    /// count non-NULLs) and `count(*)` stores a NULL placeholder.
+    pub items: Vec<Value>,
+    /// The ORDER BY expression evaluated against the source row; only
+    /// populated on the non-aggregate path, where ordering is per-row.
+    pub order: Option<Value>,
+}
+
 /// A compiled, snapshot-independent query plan. See the module docs.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
@@ -172,9 +200,6 @@ pub struct CompiledPlan {
     filter: Option<CExpr>,
     lifted: Option<LiftedEq>,
     ret: CReturn,
-    /// The AST RETURN clause, kept so the gather half of scatter-gather can
-    /// reuse the interpreter's merge (`gather_project`) verbatim.
-    ret_ast: Return,
 }
 
 /// Bind-time state: the snapshot plus resolved parameter references.
@@ -403,7 +428,6 @@ impl CompiledPlan {
             filter: cfilter,
             lifted,
             ret: cret,
-            ret_ast: ret.clone(),
         })
     }
 
@@ -467,24 +491,30 @@ impl CompiledPlan {
         out
     }
 
-    /// Execute against any snapshot. Differentially equal to the interpreted
-    /// oracle (`execute_read_with_params`) — results *and* errors.
+    /// Execute against any snapshot: the scatter half owning every anchor,
+    /// then the gather. Differentially equal to the interpreted oracle
+    /// (`execute_read_with_params`) — results *and* errors.
     pub fn execute_on<S: GraphSnapshot + ?Sized>(
         &self,
         snap: &S,
         params: &Params,
     ) -> Result<QueryResult, CypherError> {
-        let ctx = self.bind(snap, params);
-        let mut rows: Vec<CRow> = vec![vec![None; self.slots.len()]];
-        for pi in 0..self.patterns.len() {
-            rows = self.expand_pattern(&ctx, pi, rows);
-        }
-        let rows = self.apply_filter(&ctx, rows)?;
-        self.project(&ctx, rows)
+        Ok(self.gather(self.scatter_on(snap, params, &|_| true)?))
     }
 
-    /// Shard-side half of a compiled scatter-gather read: identical row set
-    /// to the interpreter's `scatter_match` under the same ownership test.
+    /// Shard-side half of a read: run the match/filter pipeline restricted
+    /// to rows whose *anchor* — pattern 0's first-node candidate —
+    /// satisfies `owns`, and materialize each surviving row's RETURN-item
+    /// and ORDER BY values.
+    ///
+    /// Every row has exactly one anchor, so running this on each shard of a
+    /// partition (with `owns` = that shard's ownership test) produces every
+    /// row of the unsharded read exactly once across the fleet. Candidate
+    /// enumeration is ascending-id on every scan (ids are dense and never
+    /// reused; the label, name and property indexes preserve creation
+    /// order), and later patterns and path extensions run against the
+    /// snapshot's full replica, so sorting the union by `(anchor, seq)`
+    /// reproduces the single-store row order exactly.
     pub fn scatter_on<S: GraphSnapshot + ?Sized>(
         &self,
         snap: &S,
@@ -524,48 +554,129 @@ impl CompiledPlan {
             anchored = next;
         }
         // WHERE.
-        let mut filtered = Vec::with_capacity(anchored.len());
-        for (anchor, row) in anchored {
-            match &self.filter {
-                None => filtered.push((anchor, row)),
-                Some(expr) => {
-                    if self.eval(&ctx, &row, expr)?.truthy() {
-                        filtered.push((anchor, row));
-                    }
+        if let Some(expr) = &self.filter {
+            let mut kept = Vec::with_capacity(anchored.len());
+            for (anchor, row) in anchored {
+                if self.eval(&ctx, &row, expr)?.truthy() {
+                    kept.push((anchor, row));
                 }
             }
+            anchored = kept;
         }
-        // Materialize RETURN items (+ per-row ORDER BY key).
-        let per_row_order = self.ret.order_by.is_some() && !self.ret.has_aggregate;
-        let mut out = Vec::with_capacity(filtered.len());
-        for (seq, (anchor, row)) in filtered.into_iter().enumerate() {
+        // Materialize in the oracle's evaluation order, so the first error
+        // raised is the one it raises: every row's projected items first,
+        // then the per-row ORDER BY keys — or, with aggregates, the
+        // `count(expr)` inputs (`count(*)` keeps a NULL placeholder).
+        let mut out = Vec::with_capacity(anchored.len());
+        for (seq, (anchor, row)) in anchored.iter().enumerate() {
             let mut items = Vec::with_capacity(self.ret.items.len());
             for item in &self.ret.items {
                 items.push(match item {
-                    CItem::CountStar => Value::Null,
-                    CItem::Count(inner) => self.eval(&ctx, &row, inner)?,
-                    CItem::Value(expr) => self.eval(&ctx, &row, expr)?,
+                    CItem::Value(expr) => self.eval(&ctx, row, expr)?,
+                    CItem::CountStar | CItem::Count(_) => Value::Null,
                 });
             }
-            let order = match &self.ret.order_by {
-                Some((expr, _)) if per_row_order => Some(self.eval(&ctx, &row, expr)?),
-                _ => None,
-            };
             out.push(ScatterRow {
-                anchor,
+                anchor: *anchor,
                 seq: seq as u32,
                 items,
-                order,
+                order: None,
             });
+        }
+        if self.ret.has_aggregate {
+            for (scattered, (_, row)) in out.iter_mut().zip(&anchored) {
+                for (value, item) in scattered.items.iter_mut().zip(&self.ret.items) {
+                    if let CItem::Count(inner) = item {
+                        *value = self.eval(&ctx, row, inner)?;
+                    }
+                }
+            }
+        } else if let Some((expr, _)) = &self.ret.order_by {
+            for (scattered, (_, row)) in out.iter_mut().zip(&anchored) {
+                scattered.order = Some(self.eval(&ctx, row, expr)?);
+            }
         }
         Ok(out)
     }
 
-    /// Gather-side merge for rows produced by [`CompiledPlan::scatter_on`] —
-    /// delegates to the interpreter's gather over the saved RETURN AST, so
-    /// the merge is the proven one.
-    pub fn gather(&self, scatter: Vec<ScatterRow>) -> Result<QueryResult, CypherError> {
-        gather_project_ret(&self.ret_ast, scatter)
+    /// Gather-side half of a read: merge [`CompiledPlan::scatter_on`] rows
+    /// (from one snapshot or from every shard) back into global row order
+    /// and run the projection — implicit aggregate grouping, ORDER BY,
+    /// DISTINCT, SKIP, LIMIT — over the materialized values. Needs no
+    /// snapshot: every value was evaluated scatter-side.
+    pub fn gather(&self, mut scatter: Vec<ScatterRow>) -> QueryResult {
+        let ret = &self.ret;
+        scatter.sort_by(|a, b| a.anchor.cmp(&b.anchor).then(a.seq.cmp(&b.seq)));
+        let mut out_rows: Vec<Vec<Value>> = if ret.has_aggregate {
+            // Implicit grouping by the non-aggregate items, first-seen order.
+            let mut groups: Vec<(Vec<Value>, Vec<&ScatterRow>)> = Vec::new();
+            for row in &scatter {
+                let key: Vec<Value> = ret
+                    .items
+                    .iter()
+                    .zip(&row.items)
+                    .filter(|(i, _)| !i.is_aggregate())
+                    .map(|(_, v)| v.clone())
+                    .collect();
+                match groups.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, members)) => members.push(row),
+                    None => groups.push((key, vec![row])),
+                }
+            }
+            let mut rows: Vec<Vec<Value>> = groups
+                .into_iter()
+                .map(|(key, members)| {
+                    let mut key = key.into_iter();
+                    ret.items
+                        .iter()
+                        .enumerate()
+                        .map(|(col, item)| match item {
+                            CItem::CountStar => Value::Int(members.len() as i64),
+                            CItem::Count(_) => Value::Int(
+                                members
+                                    .iter()
+                                    .filter(|m| !matches!(m.items[col], Value::Null))
+                                    .count() as i64,
+                            ),
+                            CItem::Value(_) => key.next().unwrap_or(Value::Null),
+                        })
+                        .collect()
+                })
+                .collect();
+            // ORDER BY sorts on the RETURN column it names, if any.
+            if let (Some((_, asc)), Some(col)) = (&ret.order_by, ret.order_col) {
+                rows.sort_by(|a, b| directed(a[col].cmp_order(&b[col]), *asc));
+            }
+            rows
+        } else {
+            if let Some((_, asc)) = &ret.order_by {
+                fn key(r: &ScatterRow) -> &Value {
+                    r.order.as_ref().unwrap_or(&Value::Null)
+                }
+                scatter.sort_by(|a, b| directed(key(a).cmp_order(key(b)), *asc));
+            }
+            scatter.into_iter().map(|r| r.items).collect()
+        };
+        if ret.distinct {
+            let mut seen: Vec<Vec<Value>> = Vec::new();
+            out_rows.retain(|row| {
+                if seen.contains(row) {
+                    false
+                } else {
+                    seen.push(row.clone());
+                    true
+                }
+            });
+        }
+        out_rows.drain(..ret.skip.min(out_rows.len()));
+        if let Some(limit) = ret.limit {
+            out_rows.truncate(limit);
+        }
+        QueryResult {
+            columns: ret.columns.clone(),
+            rows: out_rows,
+            ..QueryResult::default()
+        }
     }
 
     // ---- internals -------------------------------------------------------
@@ -648,25 +759,6 @@ impl CompiledPlan {
             CValue::Param(p) => ctx.resolved[*p]?,
         };
         ctx.snap.nodes_with_prop_eq(&lifted.key, value)
-    }
-
-    /// Expand every row through pattern `pi` (anchor candidates + path
-    /// extension), preserving the interpreter's enumeration order.
-    fn expand_pattern<S: GraphSnapshot + ?Sized>(
-        &self,
-        ctx: &Ctx<'_, S>,
-        pi: usize,
-        rows: Vec<CRow>,
-    ) -> Vec<CRow> {
-        let statics = match self.patterns[pi].scan {
-            Scan::Bound(_) => None,
-            _ => Some(self.static_candidates(ctx, pi)),
-        };
-        let mut next = Vec::new();
-        for row in rows {
-            self.expand_row(ctx, pi, row, statics.as_deref(), &mut next);
-        }
-        next
     }
 
     fn expand_row<S: GraphSnapshot + ?Sized>(
@@ -796,25 +888,6 @@ impl CompiledPlan {
         }
     }
 
-    fn apply_filter<S: GraphSnapshot + ?Sized>(
-        &self,
-        ctx: &Ctx<'_, S>,
-        rows: Vec<CRow>,
-    ) -> Result<Vec<CRow>, CypherError> {
-        match &self.filter {
-            None => Ok(rows),
-            Some(expr) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    if self.eval(ctx, &row, expr)?.truthy() {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
     fn eval<S: GraphSnapshot + ?Sized>(
         &self,
         ctx: &Ctx<'_, S>,
@@ -823,119 +896,14 @@ impl CompiledPlan {
     ) -> Result<Value, CypherError> {
         eval_expr(ctx.snap, &ctx.resolved, &self.params, row, expr)
     }
+}
 
-    /// The compiled mirror of the interpreter's `project`.
-    fn project<S: GraphSnapshot + ?Sized>(
-        &self,
-        ctx: &Ctx<'_, S>,
-        rows: Vec<CRow>,
-    ) -> Result<QueryResult, CypherError> {
-        let ret = &self.ret;
-        let mut out_rows: Vec<Vec<Value>> = Vec::new();
-        if ret.has_aggregate {
-            // Implicit grouping by the non-aggregate items, first-seen order.
-            let mut groups: Vec<(Vec<Value>, Vec<CRow>)> = Vec::new();
-            for row in rows {
-                let mut key = Vec::new();
-                for item in &ret.items {
-                    if let CItem::Value(expr) = item {
-                        key.push(self.eval(ctx, &row, expr)?);
-                    }
-                }
-                match groups
-                    .iter_mut()
-                    .find(|(k, _)| k.len() == key.len() && k.iter().zip(&key).all(|(a, b)| a == b))
-                {
-                    Some((_, members)) => members.push(row),
-                    None => groups.push((key, vec![row])),
-                }
-            }
-            for (key, members) in groups {
-                let mut row_out = Vec::with_capacity(ret.items.len());
-                let mut key_iter = key.into_iter();
-                for item in &ret.items {
-                    match item {
-                        CItem::CountStar => row_out.push(Value::Int(members.len() as i64)),
-                        CItem::Count(inner) => {
-                            let mut n = 0i64;
-                            for m in &members {
-                                if !matches!(self.eval(ctx, m, inner)?, Value::Null) {
-                                    n += 1;
-                                }
-                            }
-                            row_out.push(Value::Int(n));
-                        }
-                        CItem::Value(_) => row_out.push(key_iter.next().unwrap_or(Value::Null)),
-                    }
-                }
-                out_rows.push(row_out);
-            }
-            if let Some((_, asc)) = &ret.order_by {
-                if let Some(col) = ret.order_col {
-                    out_rows.sort_by(|a, b| {
-                        let o = a[col].cmp_order(&b[col]);
-                        if *asc {
-                            o
-                        } else {
-                            o.reverse()
-                        }
-                    });
-                }
-            }
-        } else {
-            for row in &rows {
-                let mut projected = Vec::with_capacity(ret.items.len());
-                for item in &ret.items {
-                    projected.push(match item {
-                        CItem::Value(expr) => self.eval(ctx, row, expr)?,
-                        // Unreachable: has_aggregate is false.
-                        CItem::CountStar | CItem::Count(_) => Value::Null,
-                    });
-                }
-                out_rows.push(projected);
-            }
-            // ORDER BY evaluates against the source rows.
-            if let Some((expr, asc)) = &ret.order_by {
-                let mut keyed: Vec<(Value, Vec<Value>)> = rows
-                    .iter()
-                    .zip(out_rows)
-                    .map(|(row, out)| Ok((self.eval(ctx, row, expr)?, out)))
-                    .collect::<Result<_, CypherError>>()?;
-                keyed.sort_by(|a, b| {
-                    let o = a.0.cmp_order(&b.0);
-                    if *asc {
-                        o
-                    } else {
-                        o.reverse()
-                    }
-                });
-                out_rows = keyed.into_iter().map(|(_, o)| o).collect();
-            }
-        }
-
-        if ret.distinct {
-            let mut seen: Vec<Vec<Value>> = Vec::new();
-            out_rows.retain(|row| {
-                if seen.iter().any(|s| s == row) {
-                    false
-                } else {
-                    seen.push(row.clone());
-                    true
-                }
-            });
-        }
-        if ret.skip > 0 {
-            out_rows.drain(..ret.skip.min(out_rows.len()));
-        }
-        if let Some(limit) = ret.limit {
-            out_rows.truncate(limit);
-        }
-
-        Ok(QueryResult {
-            columns: ret.columns.clone(),
-            rows: out_rows,
-            ..QueryResult::default()
-        })
+/// `o` in ascending order, reversed for descending.
+fn directed(o: std::cmp::Ordering, asc: bool) -> std::cmp::Ordering {
+    if asc {
+        o
+    } else {
+        o.reverse()
     }
 }
 
@@ -1295,27 +1263,45 @@ mod tests {
     }
 
     #[test]
-    fn scatter_gather_matches_plain_execution() {
+    fn scatter_gather_matches_the_oracle() {
         let g = demo_store();
         for text in [
             "MATCH (n) WHERE n.name CONTAINS 'o' RETURN n.name ORDER BY n.name",
             "MATCH (a)-[:USES]->(t:Technique) RETURN a.name, count(t) AS uses ORDER BY count(t) DESC",
             "MATCH (m:Malware)-[*1..2]-(x) RETURN x.name ORDER BY x.name",
+            "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a)-[:USES]->(t) RETURN t.name",
+            "MATCH (n:Technique) RETURN count(*)",
+            "MATCH (a)-[:USES]->(t) RETURN DISTINCT t.name ORDER BY t.name SKIP 1 LIMIT 1",
+            "MATCH (e:Malware {name: 'emotet'})-[:USES]->(t), (a:ThreatActor)-[:USES]->(t) \
+             RETURN a.name, t.name",
+            "MATCH (n) WHERE n.name = $who RETURN n",
+            "MATCH (n) RETURN count($late), $early",
         ] {
             let query = parse(text).unwrap();
+            let oracle = super::super::exec::execute_read_with_params(&g, &query, &Params::new());
             let plan = CompiledPlan::compile(&query).unwrap();
-            let plain = plan.execute_on(&g, &Params::new()).unwrap();
-            for shards in [1u64, 3] {
+            // Fan out over "shards" owning ids by residue, merge, project.
+            for shards in [1u64, 2, 3] {
                 let mut rows = Vec::new();
+                let mut failed = None;
                 for shard in 0..shards {
-                    rows.extend(
-                        plan.scatter_on(&g, &Params::new(), &|id: NodeId| id.0 % shards == shard)
-                            .unwrap(),
-                    );
+                    let owns = |id: NodeId| id.0 % shards == shard;
+                    match plan.scatter_on(&g, &Params::new(), &owns) {
+                        Ok(part) => rows.extend(part),
+                        Err(e) => failed = failed.or(Some(e)),
+                    }
                 }
-                let merged = plan.gather(rows).unwrap();
-                assert_eq!(plain.columns, merged.columns, "{text}");
-                assert_eq!(plain.rows, merged.rows, "{text} at {shards} shards");
+                match (&oracle, failed) {
+                    (Ok(want), None) => {
+                        let merged = plan.gather(rows);
+                        assert_eq!(want.columns, merged.columns, "{text}");
+                        assert_eq!(want.rows, merged.rows, "{text} at {shards} shards");
+                    }
+                    (Err(want), Some(got)) => {
+                        assert_eq!(want.to_string(), got.to_string(), "{text} at {shards} shards")
+                    }
+                    (want, got) => panic!("{text} at {shards} shards: {want:?} vs {got:?}"),
+                }
             }
         }
     }

@@ -26,10 +26,7 @@ pub mod snapshot;
 pub mod store;
 pub mod value;
 
-pub use cypher::{
-    gather_project, gather_project_ret, parse, scatter_match, CompiledNodePredicate, CompiledPlan,
-    Params, QueryResult, ScatterRow,
-};
+pub use cypher::{parse, CompiledNodePredicate, CompiledPlan, Params, QueryResult, ScatterRow};
 pub use snapshot::GraphSnapshot;
 pub use store::{
     canon_shard, edge_digest, id_shard, node_digest, node_shard, DeltaBatch, DeltaCursor, Edge,

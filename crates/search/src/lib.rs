@@ -5,6 +5,12 @@
 //! tokenizer is the IOC-protected tokenizer from `kg-nlp`, so indicator
 //! strings ("tasksche.exe", "10.0.0.1") are single searchable terms exactly
 //! as a CTI analyst expects.
+//!
+//! One scoring kernel serves the whole index ([`SearchIndex::search`], with
+//! its own corpus statistics) and each partition of a sharded index
+//! ([`SearchIndex::search_terms_with_stats`], with the merged statistics of
+//! every partition), so partitioned scores are bit-identical to the
+//! unpartitioned ones.
 
 use kg_nlp::{tokenize_protected, IocMatcher};
 use serde::{Deserialize, Serialize};
@@ -213,17 +219,40 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
     /// BM25 top-k search. Multi-term queries score documents matching any
     /// term (OR semantics, like a default Elasticsearch match query).
     pub fn search(&self, query: &str, k: usize) -> Vec<Hit<D>> {
-        if self.docs.is_empty() {
+        let terms = Self::terms(query);
+        self.rank(
+            &terms,
+            k,
+            self.docs.len() as u64,
+            self.total_tokens,
+            |postings, _| postings.len() as u64,
+        )
+    }
+
+    /// The one BM25 kernel: score every document posting any of `terms`
+    /// (accumulating in `terms` order, duplicates included) against a
+    /// corpus of `docs` documents and `total_tokens` tokens, with each
+    /// term's document frequency from `doc_freq(postings, term)`; top `k`
+    /// by score descending, ties by ascending slot.
+    fn rank(
+        &self,
+        terms: &[String],
+        k: usize,
+        docs: u64,
+        total_tokens: u64,
+        doc_freq: impl Fn(&[Posting], &str) -> u64,
+    ) -> Vec<Hit<D>> {
+        if self.docs.is_empty() || docs == 0 {
             return Vec::new();
         }
-        let n = self.docs.len() as f64;
-        let avg_len = self.total_tokens as f64 / n;
+        let n = docs as f64;
+        let avg_len = total_tokens as f64 / n;
         let mut scores: HashMap<u32, f64> = HashMap::new();
-        for term in Self::terms(query) {
-            let Some(postings) = self.postings.get(&term) else {
+        for term in terms {
+            let Some(postings) = self.postings.get(term) else {
                 continue;
             };
-            let df = postings.len() as f64;
+            let df = doc_freq(postings, term) as f64;
             let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
             for p in postings.iter() {
                 let doc_len = self.docs[p.doc as usize].1 as f64;
@@ -251,19 +280,6 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
 
     // ---- sharded scatter-gather support ------------------------------------
 
-    /// Total token count across all documents (numerator of the BM25
-    /// average-length term). Partitions sum these to recover the global
-    /// value.
-    pub fn total_tokens(&self) -> u64 {
-        self.total_tokens
-    }
-
-    /// Number of postings for `term` — its document frequency. Zero for
-    /// unknown terms. Partitions sum these to recover the global frequency.
-    pub fn doc_freq(&self, term: &str) -> u64 {
-        self.postings.get(term).map_or(0, |p| p.len() as u64)
-    }
-
     /// This index's contribution to [`CorpusStats`] for `terms`: local doc
     /// count, token total and per-term document frequencies. Summing the
     /// contributions of disjoint partitions yields the global statistics.
@@ -272,7 +288,7 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
         for term in terms {
             doc_freq
                 .entry(term.clone())
-                .or_insert_with(|| self.doc_freq(term));
+                .or_insert_with(|| self.postings.get(term).map_or(0, |p| p.len() as u64));
         }
         CorpusStats {
             docs: self.docs.len() as u64,
@@ -341,9 +357,9 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
     }
 
     /// BM25 top-k over *pre-tokenized* query terms with externally supplied
-    /// global statistics. Per-document accumulation follows `terms` order —
-    /// duplicates included — matching [`SearchIndex::search`] operation for
-    /// operation, so a partition scoring with the merged stats of all
+    /// global statistics — the [`SearchIndex::search`] kernel with the
+    /// corpus size, token total and document frequencies swapped for
+    /// `stats`, so a partition scoring with the merged stats of all
     /// partitions reproduces the unpartitioned scores bit for bit. Ties
     /// break by ascending slot, which for an append-ordered partition is
     /// ascending global slot.
@@ -353,40 +369,9 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
         k: usize,
         stats: &CorpusStats,
     ) -> Vec<Hit<D>> {
-        if self.docs.is_empty() || stats.docs == 0 {
-            return Vec::new();
-        }
-        let n = stats.docs as f64;
-        let avg_len = stats.total_tokens as f64 / n;
-        let mut scores: HashMap<u32, f64> = HashMap::new();
-        for term in terms {
-            let Some(postings) = self.postings.get(term) else {
-                continue;
-            };
-            let df = stats.doc_freq.get(term).copied().unwrap_or(0) as f64;
-            let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-            for p in postings.iter() {
-                let doc_len = self.docs[p.doc as usize].1 as f64;
-                let tf = p.tf as f64;
-                let denom = tf
-                    + self.params.k1
-                        * (1.0 - self.params.b + self.params.b * doc_len / avg_len.max(1e-9));
-                *scores.entry(p.doc).or_insert(0.0) += idf * (tf * (self.params.k1 + 1.0)) / denom;
-            }
-        }
-        let mut hits: Vec<(u32, f64)> = scores.into_iter().collect();
-        hits.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        hits.truncate(k);
-        hits.into_iter()
-            .map(|(slot, score)| Hit {
-                doc: self.docs[slot as usize].0.clone(),
-                score,
-            })
-            .collect()
+        self.rank(terms, k, stats.docs, stats.total_tokens, |_, term| {
+            stats.doc_freq.get(term).copied().unwrap_or(0)
+        })
     }
 
     // ---- shard persistence (kg-persist) -----------------------------------

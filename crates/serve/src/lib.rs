@@ -37,6 +37,7 @@
 mod cache;
 mod epoch;
 mod plan;
+mod read;
 mod shard;
 mod snapshot;
 mod subscribe;
@@ -44,6 +45,7 @@ mod subscribe;
 pub use cache::{CacheStats, QueryCache};
 pub use epoch::EpochBuilder;
 pub use plan::{PlanCache, PlanCacheStats};
+pub use read::keyword_search;
 pub use shard::{
     combined_digest, ShardDoc, ShardSet, ShardSnapshot, ShardStamp, ShardedResponse, ShardedServe,
     ShardedStats,
@@ -181,22 +183,10 @@ impl KgServe {
                 answer,
             };
         }
-        let answer = match query {
-            // The Cypher path binds a cached compiled plan to the pinned
-            // snapshot — plan reuse across epochs, answer isolation per
-            // epoch (the answer still enters the digest-keyed cache above).
-            Query::Cypher { q } => match self.plans.plan(q) {
-                Ok(plan) => match plan.execute_on(snapshot, &kg_graph::Params::new()) {
-                    Ok(result) => Answer::Rows {
-                        columns: result.columns,
-                        rows: result.rows,
-                    },
-                    Err(e) => Answer::Error(e.to_string()),
-                },
-                Err(e) => Answer::Error(e.to_string()),
-            },
-            _ => snapshot.answer(query),
-        };
+        // Cypher binds a cached compiled plan to the pinned snapshot — plan
+        // reuse across epochs, answer isolation per epoch (the answer still
+        // enters the digest-keyed cache).
+        let answer = read::answer(snapshot, |q| self.plans.plan(q), query);
         self.cache.store(key, answer.clone());
         QueryResponse {
             digest: snapshot.digest(),

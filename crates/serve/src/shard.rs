@@ -18,15 +18,19 @@
 //!   Freezing a shard absorbs the pending delta for all slices and reads
 //!   that shard's slice — its owned adjacency and partial digest — so
 //!   shards still publish independently, O(delta) each.
-//! - **Scatter-gather** ([`ShardedServe`]): keyword search computes global
+//! - **Scatter-gather** ([`ShardedServe`]): a pinned shard vector answers
+//!   through the same read routines as a whole [`crate::KgSnapshot`] — one
+//!   keyword composition, one BFS, one compiled Cypher pipeline — and only
+//!   the lookups under them are per-shard. Keyword search computes global
 //!   BM25 statistics from the partitions, scores shard-locally with those
 //!   stats injected and merges per-shard top-k by `(score desc, global
-//!   slot asc)` — bit-identical to the unsharded scores. Cypher anchors
-//!   every row at the first pattern's first node, runs match/filter on the
-//!   owning shard (each shard carries a full structurally-shared replica,
-//!   so joins and property lookups resolve locally) and re-projects the
-//!   merged rows in `(anchor, seq)` order. BFS expansion walks the
-//!   per-shard adjacency partitions hop by hop from the gather side.
+//!   slot asc)` — bit-identical to the unsharded scores. Cypher scatters
+//!   the plan to every shard with that shard's ownership test as the
+//!   anchor filter (each shard carries a full structurally-shared replica,
+//!   so joins and property lookups resolve locally) and gathers the rows
+//!   in `(anchor, seq)` order — the unsharded call is the same scatter
+//!   owning every anchor. BFS expansion fetches each node's neighbours from
+//!   the shard owning it.
 //! - **Auditability**: every [`ShardedResponse`] carries a `(shard,
 //!   version, digest)` vector. Shard digests are *partial* digests — the
 //!   seedless sum of owned element terms — chosen so that
@@ -42,13 +46,10 @@ use crate::epoch::EpochBuilder;
 use crate::plan::PlanCache;
 use crate::snapshot::{Answer, Query};
 use kg_graph::store::{Edge, Node};
-use kg_graph::{
-    canon_shard, id_shard, EdgeId, GraphSnapshot, GraphStore, NodeId, Params, ScatterRow, Value,
-    DIGEST_SEED,
-};
-use kg_search::{CorpusStats, Hit, SearchIndex};
+use kg_graph::{id_shard, EdgeId, GraphSnapshot, GraphStore, NodeId, Value, DIGEST_SEED};
+use kg_search::SearchIndex;
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -387,13 +388,7 @@ impl ShardedServe {
     /// merged answer.
     pub fn execute_on(&self, pins: &[Arc<ShardSnapshot>], query: &Query) -> ShardedResponse {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let answer = match query {
-            Query::Search { q, k } => Answer::Nodes(sharded_search(pins, q, *k)),
-            Query::Cypher { q } => sharded_cypher(&self.plans, pins, q),
-            Query::Expand { name, hops, cap } => {
-                Answer::Nodes(sharded_expand(pins, name, *hops, *cap))
-            }
-        };
+        let answer = crate::read::answer(pins, |q| self.plans.plan(q), query);
         ShardedResponse {
             vector: pins
                 .iter()
@@ -420,126 +415,6 @@ impl ShardedServe {
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plans
     }
-}
-
-/// Resolve an entity name exactly as `KgSnapshot::entity_by_name` does,
-/// but touching only the owning shard per entity kind (canon-key routing
-/// makes the owner computable from the query alone).
-fn sharded_entity_by_name(pins: &[Arc<ShardSnapshot>], name: &str) -> Option<NodeId> {
-    let lowered = name.to_lowercase();
-    kg_ontology::EntityKind::ALL.iter().find_map(|kind| {
-        let owner = canon_shard(kind.label(), &lowered, pins.len());
-        pins[owner].graph().node_by_name(kind.label(), &lowered)
-    })
-}
-
-/// Scatter-gather keyword search: direct entity-name hits (owner shard
-/// only) first, then the global-stats BM25 merge — the same composition,
-/// hit for hit and score for score, as `KgSnapshot::keyword_search`.
-fn sharded_search(pins: &[Arc<ShardSnapshot>], query: &str, k: usize) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let lowered = query.to_lowercase();
-    for kind in kg_ontology::EntityKind::ALL {
-        let owner = canon_shard(kind.label(), &lowered, pins.len());
-        if let Some(id) = pins[owner].graph().node_by_name(kind.label(), &lowered) {
-            if !out.contains(&id) {
-                out.push(id);
-            }
-        }
-    }
-    // DFS-query-then-fetch: merge per-partition stats into the global
-    // stats, score each partition with them injected, then k-merge.
-    let terms = SearchIndex::<NodeId>::terms(query);
-    let mut stats = CorpusStats::default();
-    for pin in pins {
-        stats.merge(&pin.search_partition().corpus_stats_for(&terms));
-    }
-    let mut merged: Vec<Hit<ShardDoc>> = pins
-        .iter()
-        .flat_map(|pin| {
-            pin.search_partition()
-                .search_terms_with_stats(&terms, k, &stats)
-        })
-        .collect();
-    merged.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.doc.0.cmp(&b.doc.0))
-    });
-    merged.truncate(k);
-    for hit in merged {
-        if !out.contains(&hit.doc.1) {
-            out.push(hit.doc.1);
-        }
-    }
-    out.truncate(k.max(1));
-    out
-}
-
-/// Scatter-gather Cypher: one compiled plan (cached across epochs),
-/// anchor-scattered to the owning shards, merged rows re-projected by the
-/// plan's gather half.
-fn sharded_cypher(plans: &PlanCache, pins: &[Arc<ShardSnapshot>], query_text: &str) -> Answer {
-    let plan = match plans.plan(query_text) {
-        Ok(p) => p,
-        Err(e) => return Answer::Error(e.to_string()),
-    };
-    let params = Params::new();
-    let mut rows: Vec<ScatterRow> = Vec::new();
-    for pin in pins {
-        match plan.scatter_on(pin.as_ref(), &params, &|id| pin.owns(id)) {
-            Ok(shard_rows) => rows.extend(shard_rows),
-            Err(e) => return Answer::Error(e.to_string()),
-        }
-    }
-    match plan.gather(rows) {
-        Ok(result) => Answer::Rows {
-            columns: result.columns,
-            rows: result.rows,
-        },
-        Err(e) => Answer::Error(e.to_string()),
-    }
-}
-
-/// Gather-driven BFS expansion over the per-shard adjacency partitions:
-/// the exact `KgSnapshot::expand` loop, with each node's neighbour list
-/// fetched from the shard that owns it.
-fn sharded_expand(pins: &[Arc<ShardSnapshot>], name: &str, hops: usize, cap: usize) -> Vec<NodeId> {
-    let Some(start) = sharded_entity_by_name(pins, name) else {
-        return Vec::new();
-    };
-    let neighbors = |id: NodeId| -> &[NodeId] {
-        pins.iter()
-            .find(|p| p.owns(id))
-            .map_or(&[][..], |p| p.neighbors(id))
-    };
-    let mut out = Vec::new();
-    if !pins.iter().any(|p| p.owns(start)) || cap == 0 {
-        return out;
-    }
-    let mut frontier = vec![start];
-    let mut seen: HashSet<NodeId> = [start].into_iter().collect();
-    out.push(start);
-    for _ in 0..hops {
-        let mut next = Vec::new();
-        for &node in &frontier {
-            for &neighbor in neighbors(node) {
-                if out.len() >= cap {
-                    return out;
-                }
-                if seen.insert(neighbor) {
-                    out.push(neighbor);
-                    next.push(neighbor);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    out
 }
 
 #[cfg(test)]

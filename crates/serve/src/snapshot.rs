@@ -6,8 +6,10 @@
 //! it via `Arc` and every answer it produces is consistent with exactly this
 //! one graph state, whatever the ingest writer does meanwhile.
 
+use crate::read::ReadView;
+use kg_graph::cypher::CypherError;
 use kg_graph::store::{Edge, EdgeId, Node};
-use kg_graph::{cypher::CypherError, GraphSnapshot, GraphStore, NodeId, QueryResult, Value};
+use kg_graph::{parse, CompiledPlan, GraphSnapshot, GraphStore, NodeId, QueryResult, Value};
 use kg_search::SearchIndex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -131,6 +133,19 @@ impl Answer {
     }
 }
 
+/// A Cypher result as an answer: the projection, or the rendered error.
+impl From<Result<QueryResult, CypherError>> for Answer {
+    fn from(result: Result<QueryResult, CypherError>) -> Answer {
+        match result {
+            Ok(result) => Answer::Rows {
+                columns: result.columns,
+                rows: result.rows,
+            },
+            Err(e) => Answer::Error(e.to_string()),
+        }
+    }
+}
+
 impl KgSnapshot {
     /// Freeze a graph + index pair into a publishable snapshot: computes the
     /// canonical digest and the expansion adjacency from scratch. This is
@@ -230,91 +245,21 @@ impl KgSnapshot {
         self.graph.edge_count()
     }
 
-    /// Resolve an entity by canonical name under any entity label.
-    pub fn entity_by_name(&self, name: &str) -> Option<NodeId> {
-        let name = name.to_lowercase();
-        kg_ontology::EntityKind::ALL
-            .iter()
-            .find_map(|kind| self.graph.node_by_name(kind.label(), &name))
-    }
-
     /// Keyword search: direct entity-name hits first, then BM25 hits —
-    /// the same composition as `securitykg::KnowledgeBase::keyword_search`.
+    /// the composition every read view shares ([`crate::keyword_search`]).
     pub fn keyword_search(&self, query: &str, k: usize) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let lowered = query.to_lowercase();
-        for kind in kg_ontology::EntityKind::ALL {
-            if let Some(id) = self.graph.node_by_name(kind.label(), &lowered) {
-                if !out.contains(&id) {
-                    out.push(id);
-                }
-            }
-        }
-        for hit in self.search.search(query, k) {
-            if !out.contains(&hit.doc) {
-                out.push(hit.doc);
-            }
-        }
-        out.truncate(k.max(1));
-        out
+        crate::keyword_search(query, k, |l, n| self.by_name(l, n), self.bm25(query, k))
     }
 
-    /// Read-only Cypher against the frozen graph: compiled fresh here (the
-    /// serving layer's [`crate::PlanCache`] is the plan-reusing path), then
-    /// bound to *this snapshot* so var-length patterns ride the frozen
-    /// adjacency table.
-    pub fn cypher(&self, query: &str) -> Result<QueryResult, CypherError> {
-        let plan = kg_graph::CompiledPlan::compile(&kg_graph::parse(query)?)?;
-        plan.execute_on(self, &kg_graph::Params::new())
-    }
-
-    /// BFS over the precomputed adjacency: `start` plus everything within
-    /// `hops`, in BFS order, capped at `cap` nodes.
-    pub fn expand(&self, start: NodeId, hops: usize, cap: usize) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if self.graph.node(start).is_none() || cap == 0 {
-            return out;
-        }
-        let mut frontier = vec![start];
-        let mut seen: std::collections::HashSet<NodeId> = [start].into_iter().collect();
-        out.push(start);
-        for _ in 0..hops {
-            let mut next = Vec::new();
-            for &node in &frontier {
-                for &neighbor in self.neighbors(node) {
-                    if out.len() >= cap {
-                        return out;
-                    }
-                    if seen.insert(neighbor) {
-                        out.push(neighbor);
-                        next.push(neighbor);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        out
-    }
-
-    /// Evaluate a [`Query`] fresh against this snapshot (no cache).
+    /// Evaluate a [`Query`] fresh against this snapshot (no cache; Cypher
+    /// compiled here — the serving layer's [`crate::PlanCache`] is the
+    /// plan-reusing path).
     pub fn answer(&self, query: &Query) -> Answer {
-        match query {
-            Query::Search { q, k } => Answer::Nodes(self.keyword_search(q, *k)),
-            Query::Cypher { q } => match self.cypher(q) {
-                Ok(result) => Answer::Rows {
-                    columns: result.columns,
-                    rows: result.rows,
-                },
-                Err(e) => Answer::Error(e.to_string()),
-            },
-            Query::Expand { name, hops, cap } => match self.entity_by_name(name) {
-                Some(id) => Answer::Nodes(self.expand(id, *hops, *cap)),
-                None => Answer::Nodes(Vec::new()),
-            },
-        }
+        crate::read::answer(
+            self,
+            |q| Ok(Arc::new(CompiledPlan::compile(&parse(q)?)?)),
+            query,
+        )
     }
 }
 
@@ -403,18 +348,6 @@ mod tests {
         let m = snap.graph().node_by_name("Malware", "wannacry").unwrap();
         let hits = snap.keyword_search("wannacry", 5);
         assert_eq!(hits.first(), Some(&m));
-    }
-
-    #[test]
-    fn expand_bfs_layers_and_cap() {
-        let snap = snapshot();
-        let m = snap.graph().node_by_name("Malware", "wannacry").unwrap();
-        let hood = snap.expand(m, 1, 10);
-        assert_eq!(hood.len(), 3);
-        assert_eq!(hood[0], m);
-        assert_eq!(snap.expand(m, 1, 2).len(), 2);
-        assert_eq!(snap.expand(m, 0, 10), vec![m]);
-        assert!(snap.expand(NodeId(999), 1, 10).is_empty());
     }
 
     #[test]

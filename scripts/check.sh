@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy (warnings are errors) =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy, every target (warnings are errors) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (workspace) =="
 test_log="$(mktemp)"
