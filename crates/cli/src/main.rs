@@ -17,6 +17,7 @@
 use securitykg::corpus::{FaultProfile, WorldConfig};
 use securitykg::crawler::SchedulerConfig;
 use securitykg::hunting::AuditGenerator;
+use securitykg::pipeline::TraceEvent;
 use securitykg::{
     run_durable, DurableOptions, JournalError, KnowledgeBase, SecurityKg, SystemConfig,
     TrainingConfig, DEFAULT_START_MS,
@@ -379,6 +380,13 @@ fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     if flags.contains_key("stats") {
+        let trace = kg.trace().snapshot();
+        if let Some(trained) = trace
+            .iter()
+            .find(|r| matches!(r.event, TraceEvent::NerTrained { .. }))
+        {
+            eprintln!("bootstrap: {:?}", trained.event);
+        }
         eprint!("{}", report.pipeline.stage_report());
         eprintln!("trace (newest 20 events):");
         eprint!("{}", kg.trace().render_tail(20));

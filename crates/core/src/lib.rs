@@ -65,7 +65,7 @@ pub use journal::{replay, Journal, JournalError, JournalRecord, Replay};
 pub use quality::{source_quality, QualityReport, VendorQuality};
 pub use snapshot::KnowledgeBase;
 pub use stix::{export_bundle, import_bundle};
-pub use train::{collect_gold, train_ner, LabelSource, TrainedNer, TrainingConfig};
+pub use train::{collect_gold, train_ner, LabelSource, TrainedNer, TrainingConfig, TrainingPhases};
 
 use kg_corpus::{standard_sources, FaultProfile, SimulatedWeb, World, WorldConfig};
 use kg_crawler::{crawl_all, CrawlMetrics, CrawlState, CrawlerConfig};
@@ -170,6 +170,15 @@ impl SecurityKg {
             config.faults,
         );
         let trained = train_ner(&web, &config.training);
+        let trace = TraceLog::new();
+        let phases = trained.phases;
+        trace.record(TraceEvent::NerTrained {
+            analyze_us: phases.analyze_us,
+            label_model_us: phases.label_model_us,
+            embeddings_us: phases.embeddings_us,
+            featurize_us: phases.featurize_us,
+            train_us: phases.train_us,
+        });
         let mut pipeline = trained.into_pipeline();
         pipeline.min_confidence = config.pipeline.ner_min_confidence;
         SecurityKg {
@@ -180,7 +189,7 @@ impl SecurityKg {
             ner: Some(Arc::new(pipeline)),
             connector: GraphConnector::new(),
             epoch: None,
-            trace: TraceLog::new(),
+            trace,
             now_ms: u64::MAX / 4,
         }
     }
@@ -270,8 +279,8 @@ impl SecurityKg {
         }
     }
 
-    /// The accumulated structured event log (pipeline stages, quarantines,
-    /// ingest rounds).
+    /// The accumulated structured event log (extractor training phases,
+    /// pipeline stages, quarantines, ingest rounds).
     pub fn trace(&self) -> &TraceLog {
         &self.trace
     }
@@ -434,6 +443,11 @@ mod tests {
     #[test]
     fn end_to_end_build_query_fuse() {
         let mut kg = SecurityKg::bootstrap(&tiny_config());
+        let events: Vec<TraceEvent> = kg.trace().snapshot().into_iter().map(|r| r.event).collect();
+        assert!(
+            matches!(events[..], [TraceEvent::NerTrained { train_us, .. }] if train_us > 0),
+            "{events:?}"
+        );
         let report = kg.crawl_and_ingest();
         assert!(report.reports_ingested > 0);
         assert!(kg.graph().node_count() > report.reports_ingested);

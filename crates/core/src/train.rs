@@ -13,6 +13,7 @@ use kg_extract::LabelSet;
 use kg_nlp::{
     analyze, AnalyzedSentence, EmbeddingConfig, Embeddings, IocMatcher, KMeans, PosTagger,
 };
+use std::time::Instant;
 
 /// Where the training labels come from (the E3 ablation axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +70,23 @@ pub struct TrainedNer {
     /// Learned labeling-function accuracies (diagnostics; empty for
     /// gold-label training).
     pub lf_accuracies: Vec<(String, f64)>,
+    /// Where the training time went.
+    pub phases: TrainingPhases,
+}
+
+/// Wall time of each [`train_ner`] phase, in microseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrainingPhases {
+    /// Collecting the training reports and analysing them into sentences.
+    pub analyze_us: u64,
+    /// Labeling functions and the label model (or the vote, or gold).
+    pub label_model_us: u64,
+    /// Word embeddings, their k-means clusters and the gazetteers.
+    pub embeddings_us: u64,
+    /// Interning every sentence's features.
+    pub featurize_us: u64,
+    /// CRF training.
+    pub train_us: u64,
 }
 
 impl TrainedNer {
@@ -136,6 +154,13 @@ pub fn gold_labels(
 
 /// Train the NER model on the web's training slice (even article indices).
 pub fn train_ner(web: &SimulatedWeb, config: &TrainingConfig) -> TrainedNer {
+    let mut phase_start = Instant::now();
+    let mut lap = || {
+        let now = Instant::now();
+        let us = now.duration_since(phase_start).as_micros() as u64;
+        phase_start = now;
+        us
+    };
     let matcher = IocMatcher::standard();
     let tagger = PosTagger::standard();
     let labels = LabelSet::standard();
@@ -152,6 +177,7 @@ pub fn train_ner(web: &SimulatedWeb, config: &TrainingConfig) -> TrainedNer {
             sentence_gold.push(ri);
         }
     }
+    let analyze_us = lap();
 
     // Labels.
     let curated = web.world().curated_lists(config.lf_coverage, config.seed);
@@ -186,6 +212,7 @@ pub fn train_ner(web: &SimulatedWeb, config: &TrainingConfig) -> TrainedNer {
             (seqs, Vec::new())
         }
     };
+    let label_model_us = lap();
 
     // Embedding features.
     let mut featurizer = Featurizer::new(config.features.clone());
@@ -206,6 +233,7 @@ pub fn train_ner(web: &SimulatedWeb, config: &TrainingConfig) -> TrainedNer {
             Gazetteer::new("software", curated.software),
         ];
     }
+    let embeddings_us = lap();
 
     // Featurize + train.
     let mut map = FeatureMap::default();
@@ -217,11 +245,20 @@ pub fn train_ner(web: &SimulatedWeb, config: &TrainingConfig) -> TrainedNer {
             labels,
         })
         .collect();
+    let featurize_us = lap();
     let crf = Crf::train(labels, map, &examples, &config.crf);
+    let train_us = lap();
     TrainedNer {
         crf,
         featurizer,
         lf_accuracies,
+        phases: TrainingPhases {
+            analyze_us,
+            label_model_us,
+            embeddings_us,
+            featurize_us,
+            train_us,
+        },
     }
 }
 

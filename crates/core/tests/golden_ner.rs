@@ -7,7 +7,12 @@
 //! introduced, so they prove those refactors exact.
 //!
 //! - `crf_model_bytes_digest`: FNV-1a over `Crf::to_bytes()` of a model
-//!   trained on a tiny world (60 articles, 4 epochs, 8 clusters).
+//!   trained on a tiny world (60 articles, 4 epochs, 8 clusters). It moved
+//!   once, from `0xb065572534d4b629` to `0x510144d0bf06d623`, when
+//!   forward–backward moved from log space to the scaled recursion in
+//!   probability space: the marginals, and so the weights, differ in their
+//!   last bits, while both extraction digests below held, so no decision
+//!   moved.
 //! - `ner_extract_output_digest`: FNV-1a over every sentence's spans and
 //!   relations from `NerPipeline::extract` on held-out gold reports, at the
 //!   default threshold (Viterbi only) and at 0.5 (marginals computed).
@@ -18,7 +23,7 @@ use securitykg::{collect_gold, train_ner, TrainingConfig};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
-const MODEL_DIGEST: u64 = 0xb065572534d4b629;
+const MODEL_DIGEST: u64 = 0x510144d0bf06d623;
 const EXTRACT_DIGEST_AT_0: u64 = 0x907f2f7e9c6d32bd;
 const EXTRACT_DIGEST_AT_HALF: u64 = 0xc381860b734f261f;
 

@@ -5,9 +5,10 @@
 //! `Σ_t  W[x_t]·y_t  +  T[y_{t-1}, y_t]`.
 //! Training maximises conditional log-likelihood by stochastic gradient
 //! ascent with AdaGrad per-coordinate step sizes; the gradient's expected
-//! feature counts come from forward–backward marginals computed in log
-//! space. Decoding is Viterbi, hard-constrained to well-formed BIO
-//! transitions.
+//! feature counts come from forward–backward marginals. Forward–backward
+//! runs in probability space with one normaliser per step, and hands its
+//! messages on in log space. Decoding is Viterbi, hard-constrained to
+//! well-formed BIO transitions.
 
 use crate::features::{FeatureMap, Featurizer};
 use crate::label::{LabelId, LabelSet};
@@ -64,26 +65,32 @@ pub struct Example {
 struct Lattice {
     /// Emission scores, `t_len × n_labels`.
     scores: Vec<f64>,
-    /// Forward log-messages, `t_len × n_labels`.
+    /// Forward log-messages `log α_t(l)`, `t_len × n_labels`. While
+    /// forward–backward runs, the scaled messages `α̂_t(l)`.
     alpha: Vec<f64>,
-    /// Backward log-messages, `t_len × n_labels`.
+    /// Backward log-messages `log β_t(l)`, `t_len × n_labels`. While
+    /// forward–backward runs, the scaled messages `β̂_t(l)`.
     beta: Vec<f64>,
-    /// One row of `n_labels` terms: `logsumexp` input in forward–backward,
-    /// a token's marginals in the gradient.
+    /// One row of `n_labels` terms: the weighted backward message in
+    /// forward–backward, a token's marginals in the gradient.
     buf: Vec<f64>,
+    /// `exp(trans − max trans)`, `n_labels × n_labels` row-major, then its
+    /// transpose: the transition factors of one sentence.
+    exp_trans: Vec<f64>,
+    /// `exp(scores − max of the token's row)`, `t_len × n_labels`.
+    exp_scores: Vec<f64>,
+    /// Per-step normaliser `c_t`: the sum of the unnormalised forward
+    /// message at `t`, `t_len` entries.
+    scale: Vec<f64>,
+    /// `L_t`, the log of everything divided out of the forward messages
+    /// through `t`, so `log α_t = ln α̂_t + L_t` and `log Z = L_{t_len−1}`;
+    /// `t_len` entries.
+    log_scale: Vec<f64>,
 }
 
 /// A log-probability whose `exp` is clearly below the 1e-8 gradient cut-off
 /// (`ln 1e-8 ≈ -18.42`), so the update can be skipped without computing it.
 const LOG_PROB_FLOOR: f64 = -18.5;
-
-fn logsumexp(xs: &[f64]) -> f64 {
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if m.is_infinite() {
-        return m;
-    }
-    m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
-}
 
 /// Emission scores `scores[t·n + l] = Σ_{f ∈ feats[t]} emit[f·n + l]`,
 /// summed in feature order. The one scoring loop behind training, Viterbi
@@ -101,40 +108,122 @@ pub(crate) fn emission_scores(emit: &[f64], n: usize, feats: &[Vec<u32>], scores
     }
 }
 
-/// Log-space forward–backward over emission `scores` (`t_len ≥ 1` rows):
-/// fills `alpha` and `beta` and returns `log Z`.
+/// `out = Σ_i x[i] · rows[i]`, over the `out.len()`-wide rows of `rows`.
+fn combine_rows(x: &[f64], rows: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (&xi, row) in x.iter().zip(rows.chunks_exact(out.len())) {
+        for (o, &r) in out.iter_mut().zip(row) {
+            *o += xi * r;
+        }
+    }
+}
+
+/// Forward–backward over emission `scores` (`t_len ≥ 1` rows): fills
+/// `alpha` and `beta` with log-messages and returns `log Z`.
+///
+/// The recursion runs in probability space with one normaliser per step
+/// (Rabiner's scaling), so it needs no `exp` inside the `n²` loops. The
+/// factors are exponentiated once, each shifted by its maximum so none
+/// overflows: `E = exp(T − max T)` per sentence, `e_t = exp(s_t − max s_t)`
+/// per token. The scaled messages are
+///
+/// - forward: `α̂_0 = e_0 / c_0` and `α̂_t = e_t ⊙ (α̂_{t−1} E) / c_t`, with
+///   `c_t` making each row sum to one;
+/// - backward: `β̂_{t_len−1} = 1` and `β̂_t = E (e_{t+1} ⊙ β̂_{t+1}) / c_{t+1}`,
+///
+/// so `α̂_t(l) · β̂_t(l)` is the marginal `P(y_t = l | x)`. With
+/// `L_t = Σ_{s ≤ t} (ln c_s + max s_s) + t · max T`, the log-messages are
+/// `log α_t = ln α̂_t + L_t` and `log β_t = ln β̂_t + log Z − L_t`, and
+/// `log Z = L_{t_len−1}`. A message more than about `e^−745` below its
+/// row's largest underflows to zero, a `-inf` log-message where the
+/// log-space recursion gives a finite one of no weight.
 fn forward_backward(trans: &[f64], n: usize, lattice: &mut Lattice) -> f64 {
     let Lattice {
         scores,
         alpha,
         beta,
         buf,
+        exp_trans,
+        exp_scores,
+        scale,
+        log_scale,
     } = lattice;
     let t_len = scores.len() / n;
+    let trans_max = trans.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    exp_trans.clear();
+    exp_trans.resize(2 * n * n, 0.0);
+    let (e, e_t) = exp_trans.split_at_mut(n * n);
+    for (p, row) in trans.chunks_exact(n).enumerate() {
+        for (q, &w) in row.iter().enumerate() {
+            let f = (w - trans_max).exp();
+            e[p * n + q] = f;
+            e_t[q * n + p] = f;
+        }
+    }
+    exp_scores.clear();
+    exp_scores.resize(t_len * n, 0.0);
     alpha.clear();
-    alpha.resize(t_len * n, f64::NEG_INFINITY);
+    alpha.resize(t_len * n, 0.0);
     beta.clear();
-    beta.resize(t_len * n, 0.0);
+    beta.resize(t_len * n, 1.0);
     buf.clear();
     buf.resize(n, 0.0);
-    alpha[..n].copy_from_slice(&scores[..n]);
-    for t in 1..t_len {
-        for l in 0..n {
-            for (p, slot) in buf.iter_mut().enumerate() {
-                *slot = alpha[(t - 1) * n + p] + trans[p * n + l];
-            }
-            alpha[t * n + l] = logsumexp(buf) + scores[t * n + l];
+    scale.clear();
+    log_scale.clear();
+
+    let mut log_norm = 0.0;
+    for t in 0..t_len {
+        let s = &scores[t * n..][..n];
+        let s_max = s.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let ex = &mut exp_scores[t * n..][..n];
+        for (x, &v) in ex.iter_mut().zip(s) {
+            *x = (v - s_max).exp();
         }
+        let (done, rest) = alpha.split_at_mut(t * n);
+        let cur = &mut rest[..n];
+        if t == 0 {
+            cur.copy_from_slice(ex);
+        } else {
+            combine_rows(&done[(t - 1) * n..], e, cur);
+            for (a, &x) in cur.iter_mut().zip(ex.iter()) {
+                *a *= x;
+            }
+            log_norm += trans_max;
+        }
+        let c: f64 = cur.iter().sum();
+        for a in cur.iter_mut() {
+            *a /= c;
+        }
+        log_norm += c.ln() + s_max;
+        scale.push(c);
+        log_scale.push(log_norm);
     }
     for t in (0..t_len - 1).rev() {
-        for l in 0..n {
-            for (q, slot) in buf.iter_mut().enumerate() {
-                *slot = trans[l * n + q] + scores[(t + 1) * n + q] + beta[(t + 1) * n + q];
-            }
-            beta[t * n + l] = logsumexp(buf);
+        let (cur, next) = beta.split_at_mut((t + 1) * n);
+        for ((w, &b), &x) in buf
+            .iter_mut()
+            .zip(&next[..n])
+            .zip(&exp_scores[(t + 1) * n..])
+        {
+            *w = x * b / scale[t + 1];
+        }
+        combine_rows(buf, e_t, &mut cur[t * n..]);
+    }
+
+    let log_z = log_norm;
+    for ((a_row, b_row), &l_t) in alpha
+        .chunks_exact_mut(n)
+        .zip(beta.chunks_exact_mut(n))
+        .zip(log_scale.iter())
+    {
+        for a in a_row {
+            *a = a.ln() + l_t;
+        }
+        for b in b_row {
+            *b = b.ln() + (log_z - l_t);
         }
     }
-    logsumexp(&alpha[(t_len - 1) * n..])
+    log_z
 }
 
 /// BIO-constrained Viterbi over emission `scores` (`t_len × n` rows).
@@ -276,6 +365,7 @@ impl Crf {
             alpha,
             beta,
             buf: marginal,
+            ..
         } = lattice;
 
         // Gradient = observed − expected; apply AdaGrad immediately.
@@ -500,6 +590,7 @@ mod tests {
         let tagger = PosTagger::standard();
         let sent = analyze("the vexbot family returned today.", &matcher, &tagger).remove(0);
         assert_eq!(a.decode(&featurizer, &sent), b.decode(&featurizer, &sent));
+        assert_eq!(a.to_bytes().unwrap(), b.to_bytes().unwrap());
     }
 
     /// Viterbi as it was written before predecessor lists: every label
@@ -561,6 +652,9 @@ mod tests {
         path
     }
 
+    /// One sentence's interned features, token by token.
+    type Sentence = Vec<Vec<u32>>;
+
     /// Deterministic splitmix64 stream for the randomised tests.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -572,7 +666,7 @@ mod tests {
 
     /// A model with weights drawn from {-1, 0, 1}, so equal path scores are
     /// common, plus random sentences over its features.
-    fn random_model_and_sentences(seed: u64) -> (Crf, Vec<Vec<Vec<u32>>>) {
+    fn random_model_and_sentences(seed: u64) -> (Crf, Vec<Sentence>) {
         let mut state = seed;
         let labels = LabelSet::standard();
         let n = labels.len();
@@ -601,6 +695,155 @@ mod tests {
             })
             .collect();
         (crf, sentences)
+    }
+
+    fn logsumexp(xs: &[f64]) -> f64 {
+        let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if m.is_infinite() {
+            return m;
+        }
+        m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
+    }
+
+    /// Forward–backward as it was written before the scaled recursion:
+    /// every message a `logsumexp` over log-space terms. Returns
+    /// `(alpha, beta, log Z)` over emission `scores` (`t_len ≥ 1` rows).
+    fn log_space_forward_backward(
+        trans: &[f64],
+        n: usize,
+        scores: &[f64],
+    ) -> (Vec<f64>, Vec<f64>, f64) {
+        let t_len = scores.len() / n;
+        let mut alpha = vec![f64::NEG_INFINITY; t_len * n];
+        let mut beta = vec![0.0; t_len * n];
+        let mut buf = vec![0.0; n];
+        alpha[..n].copy_from_slice(&scores[..n]);
+        for t in 1..t_len {
+            for l in 0..n {
+                for (p, slot) in buf.iter_mut().enumerate() {
+                    *slot = alpha[(t - 1) * n + p] + trans[p * n + l];
+                }
+                alpha[t * n + l] = logsumexp(&buf) + scores[t * n + l];
+            }
+        }
+        for t in (0..t_len - 1).rev() {
+            for l in 0..n {
+                for (q, slot) in buf.iter_mut().enumerate() {
+                    *slot = trans[l * n + q] + scores[(t + 1) * n + q] + beta[(t + 1) * n + q];
+                }
+                beta[t * n + l] = logsumexp(&buf);
+            }
+        }
+        let log_z = logsumexp(&alpha[(t_len - 1) * n..]);
+        (alpha, beta, log_z)
+    }
+
+    /// `|got − want|` relative to `max(|want|, 1)`: log-messages near zero
+    /// are compared absolutely.
+    fn rel_err(got: f64, want: f64) -> f64 {
+        (got - want).abs() / want.abs().max(1.0)
+    }
+
+    /// Runs the production forward–backward and the log-space reference on
+    /// one sentence and checks `log Z` and every message cell to 1e-9
+    /// relative. A cell whose reference log-probability (`alpha + beta −
+    /// log Z`) is below −700 may underflow to `-inf` on the scaled side.
+    /// Returns the reference marginals `P(y_t = l | x)`.
+    fn assert_matches_log_space(crf: &Crf, feats: &[Vec<u32>], what: &str) -> Vec<f64> {
+        let n = crf.n_labels;
+        let mut lattice = Lattice::default();
+        emission_scores(&crf.emit, n, feats, &mut lattice.scores);
+        let log_z = forward_backward(&crf.trans, n, &mut lattice);
+        let (alpha, beta, want_z) = log_space_forward_backward(&crf.trans, n, &lattice.scores);
+        assert!(
+            rel_err(log_z, want_z) <= 1e-9,
+            "{what}: log Z {log_z} vs {want_z}"
+        );
+        for (i, (&a, &b)) in alpha.iter().zip(&beta).enumerate() {
+            let negligible = a + b - want_z < -700.0;
+            for (side, got, want) in [("alpha", lattice.alpha[i], a), ("beta", lattice.beta[i], b)]
+            {
+                if got == f64::NEG_INFINITY && negligible {
+                    continue;
+                }
+                assert!(
+                    rel_err(got, want) <= 1e-9,
+                    "{what}: {side}[{i}] {got} vs {want}"
+                );
+            }
+        }
+        alpha
+            .iter()
+            .zip(&beta)
+            .map(|(&a, &b)| (a + b - want_z).exp())
+            .collect()
+    }
+
+    /// A model with weights uniform in [−30, 30] over 12 features, plus
+    /// sentences of 200–299 tokens with up to five features each, so the
+    /// unscaled messages would overflow and underflow many times over.
+    fn wide_model_and_long_sentences(seed: u64) -> (Crf, Vec<Sentence>) {
+        let mut state = seed;
+        let labels = LabelSet::standard();
+        let n = labels.len();
+        let n_features = 12;
+        let mut weight = || (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64 * 60.0 - 30.0;
+        let emit = (0..n_features * n).map(|_| weight()).collect();
+        let trans = (0..n * n).map(|_| weight()).collect();
+        let crf = Crf {
+            labels,
+            features: FeatureMap::default(),
+            emit,
+            trans,
+            n_labels: n,
+        };
+        let sentences = (0..3)
+            .map(|_| {
+                let t_len = 200 + (splitmix(&mut state) % 100) as usize;
+                (0..t_len)
+                    .map(|_| {
+                        let k = (splitmix(&mut state) % 6) as usize;
+                        (0..k)
+                            .map(|_| (splitmix(&mut state) % n_features as u64) as u32)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        (crf, sentences)
+    }
+
+    #[test]
+    fn scaled_forward_backward_matches_log_space_reference() {
+        let mut models: Vec<(String, Crf, Vec<Sentence>)> = Vec::new();
+        for seed in 0..25 {
+            let (crf, sentences) = random_model_and_sentences(seed);
+            models.push((format!("ternary seed {seed}"), crf, sentences));
+        }
+        for seed in 0..4 {
+            let (crf, sentences) = wide_model_and_long_sentences(seed);
+            models.push((format!("wide seed {seed}"), crf, sentences));
+        }
+        let (labels, map, examples, _) = toy_training();
+        let trained = Crf::train(labels, map, &examples, &CrfConfig::default());
+        let toy = examples.into_iter().map(|ex| ex.features).collect();
+        models.push(("trained".to_string(), trained, toy));
+
+        let n = LabelSet::standard().len();
+        for (name, crf, sentences) in &models {
+            for (i, feats) in sentences.iter().enumerate().filter(|(_, f)| !f.is_empty()) {
+                let what = format!("{name} sentence {i} ({} tokens)", feats.len());
+                let reference = assert_matches_log_space(crf, feats, &what);
+                let (path, marginals) = crf.decode_with_marginals(feats);
+                for (t, (&l, &got)) in path.iter().zip(&marginals).enumerate() {
+                    let want = reference[t * n + l as usize].clamp(0.0, 1.0);
+                    assert!(
+                        (got - want).abs() <= 1e-9,
+                        "{what}: marginal at {t} {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!
 //! Correctness contract: for every query and every snapshot,
 //! `plan.execute_on(snap, params)` returns byte-identical results (and
-//! errors) to the interpreted oracle in [`super::exec`], and the gather of
-//! any ownership partition's scatters equals it too. The differential
+//! errors) to the interpreted oracle,
+//! [`super::execute_read_with_params`], and the gather of any ownership
+//! partition's scatters equals it too. The differential
 //! proptest battery in `tests/plan_props.rs` enforces this. The subtle part
 //! is scan selection under WHERE-conjunct lifting: narrowing candidates via
 //! the property index must not skip rows whose filter evaluation would have

@@ -120,7 +120,7 @@ pub struct PipelineMetrics {
     /// moved out of `parsed`/`extracted`, so each ported report has exactly
     /// one terminal fate and the accounting invariant holds.
     pub quarantined: usize,
-    /// Details of the first [`QUARANTINE_CAPTURE`] quarantined messages.
+    /// Details of the first 32 (`QUARANTINE_CAPTURE`) quarantined messages.
     pub quarantine: Vec<QuarantinedMessage>,
     /// Worker-side canon resolutions invalidated by entries the writer
     /// appended after the worker's snapshot, re-resolved at apply time.

@@ -1,8 +1,9 @@
 //! Structured event log for pipeline observability.
 //!
 //! A bounded, thread-safe ring buffer of typed events. Stage workers, the
-//! quarantine path and the ingest driver record what happened and when; the
-//! CLI (`build --stats`) and the E4 bench render it afterwards. When the
+//! quarantine path, extractor training and the ingest driver record what
+//! happened and when; the CLI (`build --stats`) and the E4 bench render it
+//! afterwards. When the
 //! buffer overflows, the oldest records are evicted (and counted) so tracing
 //! can stay always-on without unbounded memory.
 
@@ -118,6 +119,15 @@ pub enum TraceEvent {
     /// A worker resolution was invalidated by canon entries appended after
     /// its snapshot and re-resolved at apply time.
     CanonConflictResolved { source: String, conflicts: usize },
+    /// The extractor was trained at bootstrap: wall time of each training
+    /// phase, in microseconds.
+    NerTrained {
+        analyze_us: u64,
+        label_model_us: u64,
+        embeddings_us: u64,
+        featurize_us: u64,
+        train_us: u64,
+    },
     /// A crawl-and-ingest round began.
     IngestStarted { pages: usize },
     /// A crawl-and-ingest round finished.

@@ -200,12 +200,14 @@ impl QueryCache {
         }
     }
 
-    /// [`Self::lookup`] for a `(digest, query key)` pair.
+    /// Look up the cached answer for a `(digest, query key)` pair. A
+    /// disabled cache answers `None` without counting a miss.
     pub fn get(&self, digest: u64, query_key: &str) -> Option<Answer> {
         self.lookup(&AnswerKey::new(digest, query_key.to_owned()))
     }
 
-    /// [`Self::store`] for a `(digest, query key)` pair.
+    /// Insert an answer under a `(digest, query key)` pair, evicting the
+    /// shard's oldest entry at capacity.
     pub fn insert(&self, digest: u64, query_key: &str, answer: Answer) {
         self.store(AnswerKey::new(digest, query_key.to_owned()), answer);
     }

@@ -10,6 +10,10 @@ cargo fmt --check
 echo "== cargo clippy, every target (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc, library docs (warnings are errors) =="
+# --lib: the securitykg-cli bin and the securitykg lib share a doc output path.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "== cargo test (workspace) =="
 test_log="$(mktemp)"
 trap 'rm -f "$test_log"' EXIT
