@@ -24,7 +24,6 @@ use kg_bench::{apply_delta, build_graph, median, Table};
 use kg_graph::{Edge, GraphStore, Node, NodeId};
 use kg_persist::{SegmentStore, StoreOptions};
 use kg_search::{Bm25Params, SearchIndex, ShardTerms, PERSIST_SHARDS};
-use securitykg::KnowledgeBase;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -37,6 +36,14 @@ struct BenchMeta {
     edge_segments: usize,
     doc_segments: usize,
     params: Bm25Params,
+}
+
+/// The JSON-sidecar baseline's document: the whole knowledge base as one
+/// serde_json value, the monolithic shape the segment store replaced.
+#[derive(Serialize, Deserialize)]
+struct JsonSidecar {
+    graph: GraphStore,
+    search: SearchIndex<NodeId>,
 }
 
 /// The old durability discipline for the JSON baseline: tmp + fsync +
@@ -82,10 +89,8 @@ fn segment_checkpoint(
         graph.dirty_node_segments()
     };
     for i in node_set {
-        blobs.push((
-            format!("n{i}"),
-            graph.node_segment_json(i).unwrap().into_bytes(),
-        ));
+        let slots = graph.node_segment_slots(i).unwrap();
+        blobs.push((format!("n{i}"), serde_json::to_vec(slots).unwrap()));
     }
     let edge_set: Vec<usize> = if full {
         (0..meta.edge_segments).collect()
@@ -93,10 +98,8 @@ fn segment_checkpoint(
         graph.dirty_edge_segments()
     };
     for i in edge_set {
-        blobs.push((
-            format!("e{i}"),
-            graph.edge_segment_json(i).unwrap().into_bytes(),
-        ));
+        let slots = graph.edge_segment_slots(i).unwrap();
+        blobs.push((format!("e{i}"), serde_json::to_vec(slots).unwrap()));
     }
     let doc_set: Vec<usize> = if full {
         (0..meta.doc_segments).collect()
@@ -104,10 +107,8 @@ fn segment_checkpoint(
         search.dirty_doc_segments()
     };
     for i in doc_set {
-        blobs.push((
-            format!("d{i}"),
-            search.doc_segment_json(i).unwrap().into_bytes(),
-        ));
+        let slots = search.doc_segment_slots(i).unwrap();
+        blobs.push((format!("d{i}"), serde_json::to_vec(slots).unwrap()));
     }
     let shard_set: Vec<usize> = if full {
         (0..PERSIST_SHARDS).collect()
@@ -115,7 +116,8 @@ fn segment_checkpoint(
         search.dirty_persist_shards()
     };
     for s in shard_set {
-        blobs.push((format!("s{s}"), search.shard_json(s).into_bytes()));
+        let terms = search.shard_terms(s);
+        blobs.push((format!("s{s}"), serde_json::to_vec(&terms).unwrap()));
     }
     store
         .checkpoint(seq, seq, digest, blobs)
@@ -211,11 +213,11 @@ fn run_cell(n: usize, delta: usize, rounds: usize) -> CellResult {
         let live_digest = graph.digest();
 
         let t = Instant::now();
-        let kb = KnowledgeBase {
+        let kb = JsonSidecar {
             graph: graph.clone(),
             search: search.clone(),
         };
-        let bytes = kb.to_bytes().expect("serialize kb");
+        let bytes = serde_json::to_vec(&kb).expect("serialize kb");
         write_json_snapshot(&json_path, &bytes);
         drop(kb);
         json_ckpt.push(t.elapsed().as_micros() as u64);
@@ -231,8 +233,11 @@ fn run_cell(n: usize, delta: usize, rounds: usize) -> CellResult {
         seg_ckpt.push(t.elapsed().as_micros() as u64);
 
         let t = Instant::now();
-        let loaded = KnowledgeBase::from_bytes(&std::fs::read(&json_path).expect("read snapshot"))
-            .expect("parse snapshot");
+        let mut loaded: JsonSidecar =
+            serde_json::from_slice(&std::fs::read(&json_path).expect("read snapshot"))
+                .expect("parse snapshot");
+        // The graph's secondary indexes are not serialised; rebuild them.
+        loaded.graph.rebuild_after_load();
         json_rec.push(t.elapsed().as_micros() as u64);
 
         let t = Instant::now();

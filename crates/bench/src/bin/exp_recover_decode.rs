@@ -91,7 +91,6 @@ struct BenchMeta {
 /// binary store persist the *same* dirty segments (clearing the dirty bits
 /// happens after both have checkpointed).
 struct WriteSet {
-    full: bool,
     nodes: Vec<usize>,
     edges: Vec<usize>,
     docs: Vec<usize>,
@@ -101,7 +100,6 @@ struct WriteSet {
 fn write_set(full: bool, graph: &GraphStore, search: &SearchIndex<NodeId>) -> WriteSet {
     if full {
         WriteSet {
-            full,
             nodes: (0..graph.node_segment_count()).collect(),
             edges: (0..graph.edge_segment_count()).collect(),
             docs: (0..search.doc_segment_count()).collect(),
@@ -109,12 +107,34 @@ fn write_set(full: bool, graph: &GraphStore, search: &SearchIndex<NodeId>) -> Wr
         }
     } else {
         WriteSet {
-            full,
             nodes: graph.dirty_node_segments(),
             edges: graph.dirty_edge_segments(),
             docs: search.dirty_doc_segments(),
             shards: search.dirty_persist_shards(),
         }
+    }
+}
+
+/// Encode one payload as `KGBIN001` binary or as its serde_json oracle.
+fn encode<T: Serialize + ?Sized>(value: &T, bin: fn(&T) -> Vec<u8>, binary: bool) -> Vec<u8> {
+    if binary {
+        bin(value)
+    } else {
+        serde_json::to_vec(value).expect("payload serialises")
+    }
+}
+
+/// Decode one payload with the `KGBIN001` decoder, or with serde_json for
+/// the JSON side.
+fn decode<T: Deserialize>(
+    bytes: &[u8],
+    bin: fn(&[u8]) -> Result<T, kg_codec::CodecError>,
+    binary: bool,
+) -> Result<T, String> {
+    if binary {
+        bin(bytes).map_err(|e| e.to_string())
+    } else {
+        serde_json::from_slice(bytes).map_err(|e| e.to_string())
     }
 }
 
@@ -137,39 +157,7 @@ fn checkpoint(
     };
     let mut blobs: Vec<(String, Vec<u8>)> = Vec::new();
     blobs.push(("meta".to_owned(), serde_json::to_vec(&meta).expect("meta")));
-    for &i in &set.nodes {
-        let payload = if binary {
-            kg_codec::encode_node_segment(graph.node_segment_slots(i).expect("segment"))
-        } else {
-            graph.node_segment_json(i).expect("segment").into_bytes()
-        };
-        blobs.push((format!("n{i}"), payload));
-    }
-    for &i in &set.edges {
-        let payload = if binary {
-            kg_codec::encode_edge_segment(graph.edge_segment_slots(i).expect("segment"))
-        } else {
-            graph.edge_segment_json(i).expect("segment").into_bytes()
-        };
-        blobs.push((format!("e{i}"), payload));
-    }
-    for &i in &set.docs {
-        let payload = if binary {
-            kg_codec::encode_doc_segment(search.doc_segment_slots(i).expect("segment"))
-        } else {
-            search.doc_segment_json(i).expect("segment").into_bytes()
-        };
-        blobs.push((format!("d{i}"), payload));
-    }
-    for &s in &set.shards {
-        let payload = if binary {
-            kg_codec::encode_posting_shard(&search.shard_terms(s))
-        } else {
-            search.shard_json(s).into_bytes()
-        };
-        blobs.push((format!("s{s}"), payload));
-    }
-    let _ = set.full;
+    blobs.extend(payloads(graph, search, set, binary));
     store
         .checkpoint(seq, seq, digest, blobs)
         .expect("checkpoint");
@@ -179,10 +167,9 @@ fn checkpoint(
     }
 }
 
-/// Recover a knowledge base from the segment store. The auto-sniffing
-/// decoders are the production recovery path: binary payloads hit the
-/// zero-parse decoder, JSON payloads fall back to serde_json.
-fn recover(store: &mut SegmentStore) -> (GraphStore, SearchIndex<NodeId>) {
+/// Recover a knowledge base from the segment store, decoding its payloads
+/// as `KGBIN001` (the production decoders) or as JSON.
+fn recover(store: &mut SegmentStore, binary: bool) -> (GraphStore, SearchIndex<NodeId>) {
     store
         .recover_with(|record, blobs| {
             let meta: BenchMeta = serde_json::from_slice(blobs.get("meta").ok_or("no meta")?)
@@ -190,11 +177,13 @@ fn recover(store: &mut SegmentStore) -> (GraphStore, SearchIndex<NodeId>) {
             let get = |k: String| blobs.get(&k).ok_or(format!("missing {k}"));
             let mut node_parts = Vec::new();
             for i in 0..meta.node_segments {
-                node_parts.push(kg_codec::decode_node_segment_auto(get(format!("n{i}"))?)?);
+                let bytes = get(format!("n{i}"))?;
+                node_parts.push(decode(bytes, kg_codec::decode_node_segment, binary)?);
             }
             let mut edge_parts = Vec::new();
             for i in 0..meta.edge_segments {
-                edge_parts.push(kg_codec::decode_edge_segment_auto(get(format!("e{i}"))?)?);
+                let bytes = get(format!("e{i}"))?;
+                edge_parts.push(decode(bytes, kg_codec::decode_edge_segment, binary)?);
             }
             let graph = GraphStore::from_segments(node_parts, edge_parts)?;
             if graph.digest() != record.kg_digest {
@@ -202,11 +191,13 @@ fn recover(store: &mut SegmentStore) -> (GraphStore, SearchIndex<NodeId>) {
             }
             let mut doc_parts = Vec::new();
             for i in 0..meta.doc_segments {
-                doc_parts.push(kg_codec::decode_doc_segment_auto(get(format!("d{i}"))?)?);
+                let bytes = get(format!("d{i}"))?;
+                doc_parts.push(decode(bytes, kg_codec::decode_doc_segment, binary)?);
             }
             let mut shard_parts: Vec<ShardTerms> = Vec::new();
             for s in 0..PERSIST_SHARDS {
-                shard_parts.push(kg_codec::decode_posting_shard_auto(get(format!("s{s}"))?)?);
+                let bytes = get(format!("s{s}"))?;
+                shard_parts.push(decode(bytes, kg_codec::decode_posting_shard, binary)?);
             }
             let search = SearchIndex::from_persist_parts(meta.params, doc_parts, shard_parts)?;
             Ok((graph, search))
@@ -215,77 +206,58 @@ fn recover(store: &mut SegmentStore) -> (GraphStore, SearchIndex<NodeId>) {
         .expect("a checkpoint survives")
 }
 
-/// Encode the complete current state (every segment, both formats) for the
-/// in-memory decode-vs-parse breakdown. Payloads are tagged with their kind
-/// — recovery always knows a blob's kind from its logical name, so neither
+/// Encode the write set's segment and shard payloads as JSON or as
+/// `KGBIN001` binary, named as blobs (`n{i}`, `e{i}`, `d{i}`, `s{s}`) —
+/// recovery always knows a blob's kind from its logical name, so neither
 /// format pays for shape guessing.
-fn full_payloads(
+fn payloads(
     graph: &GraphStore,
     search: &SearchIndex<NodeId>,
+    set: &WriteSet,
     binary: bool,
-) -> Vec<(char, Vec<u8>)> {
+) -> Vec<(String, Vec<u8>)> {
     let mut out = Vec::new();
-    for i in 0..graph.node_segment_count() {
-        out.push((
-            'n',
-            if binary {
-                kg_codec::encode_node_segment(graph.node_segment_slots(i).expect("segment"))
-            } else {
-                graph.node_segment_json(i).expect("segment").into_bytes()
-            },
-        ));
+    for &i in &set.nodes {
+        let slots = graph.node_segment_slots(i).expect("segment");
+        let payload = encode(slots, kg_codec::encode_node_segment, binary);
+        out.push((format!("n{i}"), payload));
     }
-    for i in 0..graph.edge_segment_count() {
-        out.push((
-            'e',
-            if binary {
-                kg_codec::encode_edge_segment(graph.edge_segment_slots(i).expect("segment"))
-            } else {
-                graph.edge_segment_json(i).expect("segment").into_bytes()
-            },
-        ));
+    for &i in &set.edges {
+        let slots = graph.edge_segment_slots(i).expect("segment");
+        let payload = encode(slots, kg_codec::encode_edge_segment, binary);
+        out.push((format!("e{i}"), payload));
     }
-    for i in 0..search.doc_segment_count() {
-        out.push((
-            'd',
-            if binary {
-                kg_codec::encode_doc_segment(search.doc_segment_slots(i).expect("segment"))
-            } else {
-                search.doc_segment_json(i).expect("segment").into_bytes()
-            },
-        ));
+    for &i in &set.docs {
+        let slots = search.doc_segment_slots(i).expect("segment");
+        let payload = encode(slots, kg_codec::encode_doc_segment, binary);
+        out.push((format!("d{i}"), payload));
     }
-    for s in 0..PERSIST_SHARDS {
-        out.push((
-            's',
-            if binary {
-                kg_codec::encode_posting_shard(&search.shard_terms(s))
-            } else {
-                search.shard_json(s).into_bytes()
-            },
-        ));
+    for &s in &set.shards {
+        let terms = search.shard_terms(s);
+        let payload = encode(&terms, kg_codec::encode_posting_shard, binary);
+        out.push((format!("s{s}"), payload));
     }
     out
 }
 
-/// Decode one payload through the auto-sniffing production path; returns a
-/// slot count so the work cannot be optimised away.
-fn decode_one(kind: char, bytes: &[u8]) -> usize {
+/// Decode one payload of `kind` in its wire format; returns a slot count
+/// so the work cannot be optimised away.
+fn decode_one(kind: char, bytes: &[u8], binary: bool) -> usize {
     match kind {
-        'n' => kg_codec::decode_node_segment_auto(bytes)
+        'n' => decode(bytes, kg_codec::decode_node_segment, binary)
             .expect("decodes")
             .iter()
             .flatten()
             .count(),
-        'e' => kg_codec::decode_edge_segment_auto(bytes)
+        'e' => decode(bytes, kg_codec::decode_edge_segment, binary)
             .expect("decodes")
             .iter()
             .flatten()
             .count(),
-        'd' => kg_codec::decode_doc_segment_auto(bytes)
+        'd' => decode(bytes, kg_codec::decode_doc_segment, binary)
             .expect("decodes")
             .len(),
-        _ => kg_codec::decode_posting_shard_auto(bytes)
+        _ => decode(bytes, kg_codec::decode_posting_shard, binary)
             .expect("decodes")
             .len(),
     }
@@ -310,7 +282,7 @@ struct DecodeSample {
 /// allocator and page-cache state identical for both sides — timing whole
 /// sets sequentially charges whichever side runs second for the other's
 /// heap churn.
-fn decode_pairs(bin: &[(char, Vec<u8>)], json: &[(char, Vec<u8>)]) -> DecodeSample {
+fn decode_pairs(bin: &[(String, Vec<u8>)], json: &[(String, Vec<u8>)]) -> DecodeSample {
     assert_eq!(bin.len(), json.len());
     let mut sample = DecodeSample {
         validate_us: 0,
@@ -319,15 +291,16 @@ fn decode_pairs(bin: &[(char, Vec<u8>)], json: &[(char, Vec<u8>)]) -> DecodeSamp
         bin_live: 0,
         json_live: 0,
     };
-    for ((kind, b), (_, j)) in bin.iter().zip(json) {
+    for ((name, b), (_, j)) in bin.iter().zip(json) {
+        let kind = name.as_bytes()[0] as char;
         let t = Instant::now();
         kg_codec::validate_payload(b).expect("canonical payload validates");
         sample.validate_us += t.elapsed().as_micros() as u64;
         let t = Instant::now();
-        sample.bin_live += decode_one(*kind, b);
+        sample.bin_live += decode_one(kind, b, true);
         sample.bin_us += t.elapsed().as_micros() as u64;
         let t = Instant::now();
-        sample.json_live += decode_one(*kind, j);
+        sample.json_live += decode_one(kind, j, false);
         sample.json_us += t.elapsed().as_micros() as u64;
     }
     sample
@@ -422,12 +395,12 @@ fn run_cell(n: usize, delta: usize, rounds: usize) -> CellResult {
 
         let t = Instant::now();
         let mut reopened = SegmentStore::open(&json_dir, StoreOptions::default()).expect("reopen");
-        let (json_graph, json_search) = recover(&mut reopened);
+        let (json_graph, json_search) = recover(&mut reopened, false);
         json_rec.push(t.elapsed().as_micros() as u64);
 
         let t = Instant::now();
         let mut reopened = SegmentStore::open(&bin_dir, StoreOptions::default()).expect("reopen");
-        let (bin_graph, bin_search) = recover(&mut reopened);
+        let (bin_graph, bin_search) = recover(&mut reopened, true);
         bin_rec.push(t.elapsed().as_micros() as u64);
 
         digest_ok &= json_graph.digest() == live_digest
@@ -438,13 +411,14 @@ fn run_cell(n: usize, delta: usize, rounds: usize) -> CellResult {
         // In-memory breakdown: the complete segment set of the current
         // state, encoded both ways outside the timers; only decode/parse is
         // measured. This isolates the wire format from fsync and file I/O.
-        let json_payloads = full_payloads(&graph, &search, false);
-        let bin_payloads = full_payloads(&graph, &search, true);
+        let all = write_set(true, &graph, &search);
+        let json_parts = payloads(&graph, &search, &all, false);
+        let bin_parts = payloads(&graph, &search, &all, true);
 
         // One untimed pass first: faulting fresh heap into the allocator
         // costs more than the decode itself and belongs to neither format.
-        let _ = decode_pairs(&bin_payloads, &json_payloads);
-        let sample = decode_pairs(&bin_payloads, &json_payloads);
+        let _ = decode_pairs(&bin_parts, &json_parts);
+        let sample = decode_pairs(&bin_parts, &json_parts);
         bin_validate.push(sample.validate_us);
         bin_decode.push(sample.bin_us);
         json_parse.push(sample.json_us);

@@ -1,26 +1,30 @@
 //! `securitykg` — the command-line interface.
 //!
 //! ```text
-//! securitykg build   --out kg.json [--articles N] [--seed S] [--ner] [--fuse] [--stats]
-//! securitykg stats   --kg kg.json
-//! securitykg search  --kg kg.json <keywords...>
-//! securitykg cypher  --kg kg.json <query>
-//! securitykg export-stix --kg kg.json --out bundle.json
-//! securitykg hunt    --kg kg.json [--implant <malware>] [--events N]
+//! securitykg build   --out kg/ [--articles N] [--seed S] [--ner] [--fuse] [--stats]
+//! securitykg build   --journal kg/ [--days N] ...
+//! securitykg stats   --kg kg/
+//! securitykg search  --kg kg/ <keywords...>
+//! securitykg cypher  --kg kg/ <query>
+//! securitykg export-stix --kg kg/ --out bundle.json
+//! securitykg hunt    --kg kg/ [--implant <malware>] [--events N]
 //! ```
 //!
 //! `build` constructs the knowledge base end-to-end (simulated web → crawl →
-//! pipeline → graph) and writes a self-contained snapshot; every other
-//! subcommand operates on that snapshot, needing none of the build
-//! machinery — the separation the paper's storage/application split implies.
+//! pipeline → graph) and writes it to a segment store: `--out` as one full
+//! checkpoint of the finished graph, `--journal` as a crash-safe durable
+//! run. Every other subcommand opens either kind of store with `--kg`
+//! (blob checksums, `KGBIN001` decode, recomputed digest), needing none of
+//! the build machinery — the separation the paper's storage/application
+//! split implies.
 
 use securitykg::corpus::{FaultProfile, WorldConfig};
 use securitykg::crawler::SchedulerConfig;
 use securitykg::hunting::AuditGenerator;
 use securitykg::pipeline::TraceEvent;
 use securitykg::{
-    run_durable, DurableOptions, JournalError, KnowledgeBase, SecurityKg, SystemConfig,
-    TrainingConfig, DEFAULT_START_MS,
+    open_store, run_durable, write_store, DurableOptions, JournalError, SecurityKg, StoredKg,
+    SystemConfig, TrainingConfig, DEFAULT_START_MS,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -64,34 +68,34 @@ const USAGE: &str = "\
 securitykg — automated OSCTI gathering and management
 
 USAGE:
-  securitykg build  --out <kg.json> [--articles <n>] [--seed <s>] [--ner] [--fuse] [--stats]
+  securitykg build  --out <dir> [--articles <n>] [--seed <s>] [--ner] [--fuse] [--stats]
                     [--shards <n>]
   securitykg build  --journal <dir> [--days <n>] [--snapshot-every <n>] [--retention <n>]
                     [--chaos] [--crash-after-records <n>] [--kill-at-io <n>]
-                    [--out <kg.json>] [--articles <n>] [--seed <s>] [--shards <n>]
-                    [--json-payloads]
+                    [--articles <n>] [--seed <s>] [--shards <n>]
   securitykg build  --resume <dir>  [--days <n>] ... (like --journal, but the dir must exist)
   securitykg recover --dir <dir> [--verify]
-  securitykg stats  --kg <kg.json>
-  securitykg search --kg <kg.json> <keywords...>
-  securitykg cypher --kg <kg.json> <query>
-  securitykg export-stix --kg <kg.json> --out <bundle.json>
-  securitykg hunt   --kg <kg.json> [--implant <malware>] [--events <n>]
-  securitykg serve  --kg <kg.json> --queries <file> [--readers <n>] [--rounds <n>]
+  securitykg stats  --kg <dir>
+  securitykg search --kg <dir> <keywords...>
+  securitykg cypher --kg <dir> <query>
+  securitykg export-stix --kg <dir> --out <bundle.json>
+  securitykg hunt   --kg <dir> [--implant <malware>] [--events <n>]
+  securitykg serve  --kg <dir> --queries <file> [--readers <n>] [--rounds <n>]
                     [--cache <entries>] [--publishes <n>] [--watch <file>] [--stats]
                     [--shards <n>]
 
-Durable builds journal every crawl cycle into <dir> and periodically commit
-incremental binary checkpoints to a checksummed segment store (--persist-dir
-is an alias for --journal); re-running over the same dir resumes from the
-newest checkpoint that verifies, quarantining corrupt ones. A run killed by
---crash-after-records or --kill-at-io (a kill before global durable I/O op
-<n>) exits with code 9 and leaves a resumable dir. Checkpoint segment blobs
-are fixed-layout KGBIN001 binary; --json-payloads writes the legacy JSON
-encoding instead (recovery auto-sniffs each blob, so mixed dirs resume
-cleanly). Recover inspects a dir without resuming: it lists checkpoints with
-their payload format (json/bin/mixed), verifies blob checksums (plus a full
-digest recomputation under --verify), and exits 0 iff one is restorable.
+A knowledge graph on disk is a checksummed segment store of fixed-layout
+KGBIN001 blobs. build --out writes the finished graph into a new (absent or
+empty) dir as one checkpoint. Durable builds journal every crawl cycle into
+<dir> and periodically commit incremental checkpoints to the same kind of
+store (--persist-dir is an alias for --journal); re-running over the same
+dir resumes from the newest checkpoint that verifies, quarantining corrupt
+ones. A run killed by --crash-after-records or --kill-at-io (a kill before
+global durable I/O op <n>) exits with code 9 and leaves a resumable dir.
+Recover inspects a dir without resuming: it lists checkpoints, verifies blob
+checksums (plus a full digest recomputation under --verify), and exits 0 iff
+one is restorable. --kg opens either kind of store with that full check;
+stats prints the verified kg-digest.
 
 Serve publishes the knowledge base as an immutable snapshot and replays the
 query file from <n> concurrent reader threads through the digest-keyed query
@@ -126,7 +130,7 @@ fn parse_flags(args: &[String]) -> (std::collections::HashMap<String, String>, V
             if takes_value
                 && !matches!(
                     name,
-                    "ner" | "fuse" | "stats" | "chaos" | "verify" | "explain" | "json-payloads"
+                    "ner" | "fuse" | "stats" | "chaos" | "verify" | "explain"
                 )
             {
                 flags.insert(name.to_owned(), args[i + 1].clone());
@@ -197,10 +201,14 @@ fn verify_shard_partition(
     Ok(())
 }
 
-fn load_kb(flags: &std::collections::HashMap<String, String>) -> Result<KnowledgeBase, String> {
-    let path = flags.get("kg").ok_or("missing --kg <path>")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    KnowledgeBase::from_bytes(&bytes).map_err(|e| format!("parse {path}: {e}"))
+/// Open the store named by `--kg`, reporting any checkpoint it had to skip.
+fn load_kg(flags: &std::collections::HashMap<String, String>) -> Result<StoredKg, String> {
+    let dir = flags.get("kg").ok_or("missing --kg <dir>")?;
+    let kg = open_store(Path::new(dir)).map_err(|e| format!("open {dir}: {e}"))?;
+    for event in &kg.events {
+        eprintln!("quarantined: {event}");
+    }
+    Ok(kg)
 }
 
 fn build_config(flags: &std::collections::HashMap<String, String>) -> Result<SystemConfig, String> {
@@ -242,6 +250,11 @@ fn cmd_build_durable(
     flags: &std::collections::HashMap<String, String>,
     dir: &str,
 ) -> Result<ExitCode, String> {
+    if flags.contains_key("out") {
+        return Err(format!(
+            "--out does not combine with a durable build: {dir} is itself the store (--kg {dir})"
+        ));
+    }
     let journal = Path::new(dir).join("journal.log");
     if flags.contains_key("resume") && !journal.exists() {
         return Err(format!(
@@ -281,7 +294,6 @@ fn cmd_build_durable(
         io_kill_after: kill_at_io,
         io_kill_torn: kill_at_io.is_some_and(|n| n % 2 == 1),
         fault_hook: None,
-        json_payloads: flags.contains_key("json-payloads"),
     };
     let until_ms = DEFAULT_START_MS + days * 24 * 3_600_000;
     let report = match run_durable(
@@ -401,9 +413,10 @@ fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
     if let Some(shards) = parse_shards(&flags)? {
         verify_shard_partition(kg.graph(), kg.search_index(), shards)?;
     }
-    let bytes = kg.snapshot().map_err(|e| e.to_string())?;
-    std::fs::write(out, &bytes).map_err(|e| format!("write {out}: {e}"))?;
-    eprintln!("wrote {} ({} bytes)", out, bytes.len());
+    let digest = write_store(Path::new(out), kg.graph(), kg.search_index())
+        .map_err(|e| format!("write {out}: {e}"))?;
+    eprintln!("wrote store {out}");
+    println!("kg-digest: {digest:016x}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -432,13 +445,8 @@ fn cmd_recover(args: &[String]) -> Result<ExitCode, String> {
         },
         summary.stats.manifest_bytes,
     );
-    for (i, (seq, cycles, digest)) in summary.checkpoints.iter().enumerate() {
-        let format = summary
-            .payload_formats
-            .get(i)
-            .map(String::as_str)
-            .unwrap_or("?");
-        println!("checkpoint {seq}: {cycles} cycle(s), digest {digest:016x}, payload {format}");
+    for (seq, cycles, digest) in &summary.checkpoints {
+        println!("checkpoint {seq}: {cycles} cycle(s), digest {digest:016x}");
     }
     eprintln!(
         "data: {} file(s), {} bytes on disk, {} bytes live",
@@ -469,7 +477,8 @@ fn cmd_recover(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let (flags, _) = parse_flags(args);
-    let kb = load_kb(&flags)?;
+    let kb = load_kg(&flags)?;
+    println!("kg-digest: {:016x}", kb.checkpoint.2);
     println!("nodes: {}", kb.graph.node_count());
     println!("edges: {}", kb.graph.edge_count());
     println!("indexed documents: {}", kb.search.len());
@@ -482,12 +491,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
     let (flags, positional) = parse_flags(args);
-    let kb = load_kb(&flags)?;
+    let kb = load_kg(&flags)?;
     if positional.is_empty() {
         return Err("missing search keywords".into());
     }
     let query = positional.join(" ");
-    let snapshot = kb.into_serving();
+    let snapshot = securitykg::serve::KgSnapshot::build(kb.graph, kb.search);
     let hits = snapshot.keyword_search(&query, 10);
     if hits.is_empty() {
         println!("no results for {query:?}");
@@ -508,7 +517,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
 
 fn cmd_cypher(args: &[String]) -> Result<(), String> {
     let (flags, positional) = parse_flags(args);
-    let kb = load_kb(&flags)?;
+    let kb = load_kg(&flags)?;
     if positional.is_empty() {
         return Err("missing cypher query".into());
     }
@@ -538,7 +547,7 @@ fn cmd_cypher(args: &[String]) -> Result<(), String> {
 
 fn cmd_export_stix(args: &[String]) -> Result<(), String> {
     let (flags, _) = parse_flags(args);
-    let kb = load_kb(&flags)?;
+    let kb = load_kg(&flags)?;
     let out = flags.get("out").ok_or("missing --out <path>")?;
     let bundle = securitykg::export_bundle(&kb.graph);
     let text = serde_json::to_string_pretty(&bundle).map_err(|e| e.to_string())?;
@@ -652,7 +661,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     use securitykg::serve::{percentile, EpochBuilder, KgServe, Query, SubscriptionHub};
 
     let (flags, _) = parse_flags(args);
-    let kb = load_kb(&flags)?;
+    let kb = load_kg(&flags)?;
     let queries_path = flags.get("queries").ok_or("missing --queries <file>")?;
     let text =
         std::fs::read_to_string(queries_path).map_err(|e| format!("read {queries_path}: {e}"))?;
@@ -724,7 +733,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     // Keep a writer-side copy of the KB when a concurrent writer is asked
-    // for (`into_serving` consumes the original).
+    // for (the serving snapshot consumes the original).
     let mut writer_state = (publishes > 0).then(|| (kb.graph.clone(), kb.search.clone()));
 
     // Standing queries ride the writer's delta log, so they only make sense
@@ -755,7 +764,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         );
         hub = Some(registry);
     }
-    let snapshot = kb.into_serving();
+    let snapshot = securitykg::serve::KgSnapshot::build(kb.graph, kb.search);
     eprintln!(
         "serving snapshot {:016x}: {} nodes, {} edges, {} indexed docs ({} build, {} µs) — {} reader(s) × {} round(s) × {} queries",
         snapshot.digest(),
@@ -869,7 +878,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// readers run — so readers observe mixed per-shard versions, stamped on
 /// every response.
 fn serve_sharded(
-    kb: KnowledgeBase,
+    kb: StoredKg,
     queries: &[securitykg::serve::Query],
     readers: usize,
     rounds: usize,
@@ -1031,7 +1040,7 @@ fn run_readers<R>(
 
 fn cmd_hunt(args: &[String]) -> Result<(), String> {
     let (flags, _) = parse_flags(args);
-    let kb = load_kb(&flags)?;
+    let kb = load_kg(&flags)?;
     let events: usize = flags
         .get("events")
         .map(|e| e.parse().map_err(|x| format!("--events: {x}")))

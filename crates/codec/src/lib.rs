@@ -41,13 +41,13 @@
 //! payloads cannot overflow the decoder's stack. Trailing bytes after the
 //! last record are an error.
 //!
-//! ## JSON stays as the oracle
+//! ## One format
 //!
-//! The serde_json encodings survive behind the `*_auto` decoders: a payload
-//! that does not open with the magic is parsed as JSON. That keeps stores
-//! written by older builds (and mixed manifests, where a carried-forward
-//! blob predates the binary cut-over) recoverable, and gives the proptest
-//! battery a differential oracle: `binary decode ≡ JSON decode` for every
+//! `KGBIN001` is the only payload encoding a segment store holds. A payload
+//! that does not open with the magic — a serde_json blob, say — is a
+//! [`CodecError`] at byte 0, so recovery quarantines its checkpoint like any
+//! other corruption. The serde_json encodings of the same values remain the
+//! differential oracle in the tests: `binary decode ≡ JSON decode` for every
 //! generated segment.
 
 use std::collections::BTreeMap;
@@ -56,7 +56,7 @@ use kg_graph::store::SEG_CAP;
 use kg_graph::{Edge, EdgeId, Node, NodeId, Value};
 use kg_search::{ShardTerms, DOC_SEG};
 
-/// Leading magic of every binary payload; anything else is treated as JSON.
+/// Leading magic of every payload; anything else fails to decode.
 pub const BIN_MAGIC: &[u8; 8] = b"KGBIN001";
 
 /// Offset-table sentinel marking an empty (tombstoned) arena slot.
@@ -88,24 +88,6 @@ impl PayloadKind {
             4 => Some(PayloadKind::PostingShard),
             _ => None,
         }
-    }
-}
-
-/// Wire format of one blob payload, sniffed from its first bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PayloadFormat {
-    /// Opens with [`BIN_MAGIC`] — fixed-layout binary.
-    Binary,
-    /// Anything else — legacy serde_json.
-    Json,
-}
-
-/// Classify a payload without decoding it.
-pub fn payload_format(bytes: &[u8]) -> PayloadFormat {
-    if bytes.len() >= BIN_MAGIC.len() && &bytes[..BIN_MAGIC.len()] == BIN_MAGIC {
-        PayloadFormat::Binary
-    } else {
-        PayloadFormat::Json
     }
 }
 
@@ -697,42 +679,6 @@ pub fn validate_payload(bytes: &[u8]) -> Result<PayloadKind> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Auto-sniffing decoders (binary with JSON fallback)
-// ---------------------------------------------------------------------------
-
-/// Decode a node segment from either wire format ([`payload_format`]).
-pub fn decode_node_segment_auto(bytes: &[u8]) -> std::result::Result<Vec<Option<Node>>, String> {
-    match payload_format(bytes) {
-        PayloadFormat::Binary => decode_node_segment(bytes).map_err(|e| e.to_string()),
-        PayloadFormat::Json => serde_json::from_slice(bytes).map_err(|e| e.to_string()),
-    }
-}
-
-/// Decode an edge segment from either wire format.
-pub fn decode_edge_segment_auto(bytes: &[u8]) -> std::result::Result<Vec<Option<Edge>>, String> {
-    match payload_format(bytes) {
-        PayloadFormat::Binary => decode_edge_segment(bytes).map_err(|e| e.to_string()),
-        PayloadFormat::Json => serde_json::from_slice(bytes).map_err(|e| e.to_string()),
-    }
-}
-
-/// Decode a doc-table segment from either wire format.
-pub fn decode_doc_segment_auto(bytes: &[u8]) -> std::result::Result<Vec<(NodeId, u32)>, String> {
-    match payload_format(bytes) {
-        PayloadFormat::Binary => decode_doc_segment(bytes).map_err(|e| e.to_string()),
-        PayloadFormat::Json => serde_json::from_slice(bytes).map_err(|e| e.to_string()),
-    }
-}
-
-/// Decode a posting shard from either wire format.
-pub fn decode_posting_shard_auto(bytes: &[u8]) -> std::result::Result<ShardTerms, String> {
-    match payload_format(bytes) {
-        PayloadFormat::Binary => decode_posting_shard(bytes).map_err(|e| e.to_string()),
-        PayloadFormat::Json => serde_json::from_slice(bytes).map_err(|e| e.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,10 +727,8 @@ mod tests {
     fn node_segment_round_trips() {
         let slots = sample_nodes();
         let bytes = encode_node_segment(&slots);
-        assert_eq!(payload_format(&bytes), PayloadFormat::Binary);
         assert_eq!(validate_payload(&bytes).unwrap(), PayloadKind::NodeSegment);
         assert_eq!(decode_node_segment(&bytes).unwrap(), slots);
-        assert_eq!(decode_node_segment_auto(&bytes).unwrap(), slots);
     }
 
     #[test]
@@ -834,11 +778,11 @@ mod tests {
     }
 
     #[test]
-    fn json_fallback_decodes_legacy_payloads() {
-        let slots = sample_nodes();
-        let json = serde_json::to_vec(&slots).unwrap();
-        assert_eq!(payload_format(&json), PayloadFormat::Json);
-        assert_eq!(decode_node_segment_auto(&json).unwrap(), slots);
+    fn serde_json_bytes_are_rejected_at_the_magic() {
+        let json = serde_json::to_vec(&sample_nodes()).unwrap();
+        let err = decode_node_segment(&json).unwrap_err();
+        assert_eq!(err.offset, 0);
+        assert!(err.reason.contains("bad magic"), "{err}");
     }
 
     #[test]

@@ -12,11 +12,15 @@
 //! checkpoint are rewritten — the rest are carried forward by manifest
 //! reference — so a steady-state checkpoint costs O(delta), not O(graph).
 //! Recovery decodes segment blobs in parallel (they are independent by
-//! construction) and auto-sniffs each payload's format, so manifests mixing
-//! legacy JSON blobs with binary ones — e.g. a store written by an older
-//! build and resumed by this one — reassemble cleanly; the JSON encoding
-//! stays writable via [`DurableOptions::json_payloads`] as the codec's
-//! differential oracle.
+//! construction). `KGBIN001` is the only payload format: a blob without the
+//! magic fails its checkpoint with an attributed decode error, and recovery
+//! falls back past it as it does for any other corruption.
+//!
+//! The segment store is the only on-disk form of a knowledge graph.
+//! [`write_store`] writes a finished in-memory graph as one full checkpoint
+//! through the same blob builder, and [`open_store`] reads any store back —
+//! a durable run's or `write_store`'s — through the same verification a
+//! resume performs, so every load is checksummed and digest-verified.
 //!
 //! The recovery model is **snapshot + deterministic redo**: the checkpoint
 //! is the durable truth, and everything after it is recomputed rather than
@@ -38,7 +42,6 @@
 //! dead frames trigger crash-safe compaction.
 
 use crate::journal::{self, Journal, JournalError, JournalRecord};
-use crate::snapshot::KnowledgeBase;
 use crate::SystemConfig;
 use kg_corpus::{standard_sources, SimulatedWeb, World};
 use kg_crawler::{Scheduler, SchedulerCheckpoint, SchedulerConfig, SchedulerStats};
@@ -68,23 +71,6 @@ pub fn graph_digest(graph: &GraphStore) -> u64 {
     graph.digest()
 }
 
-/// The legacy monolithic snapshot shape: everything a recovery needs in one
-/// JSON document. The durable driver no longer writes these (checkpoints go
-/// to the segment store); the struct remains as the JSON-sidecar baseline
-/// the E15 persistence benchmark compares the segment store against.
-#[derive(Serialize, Deserialize)]
-pub struct SnapshotPayload {
-    pub seq: u64,
-    /// Scheduler cycles completed when the snapshot was taken.
-    pub cycles_done: u64,
-    /// [`graph_digest`] of `kb.graph`, re-verified on load.
-    pub kg_digest: u64,
-    /// Sorted content hashes of every report ingested so far.
-    pub ingested: Vec<u64>,
-    pub scheduler: SchedulerCheckpoint,
-    pub kb: KnowledgeBase,
-}
-
 /// Checkpoint metadata blob (`meta`): everything outside the graph arenas
 /// and search shards, plus the counts recovery needs to know which segment
 /// blobs to read back.
@@ -95,7 +81,9 @@ struct CheckpointMeta {
     kg_digest: u64,
     /// Sorted content hashes of every report ingested so far.
     ingested: Vec<u64>,
-    scheduler: SchedulerCheckpoint,
+    /// Crawl scheduler control state. `None` in a store written by
+    /// [`write_store`]: it holds a finished graph, not a crawl to resume.
+    scheduler: Option<SchedulerCheckpoint>,
     node_segments: usize,
     edge_segments: usize,
     search_params: Bm25Params,
@@ -126,11 +114,6 @@ pub struct DurableOptions {
     /// Externally supplied fault hook (op-order audits). When set,
     /// `io_kill_after` arms *this* hook.
     pub fault_hook: Option<FaultHook>,
-    /// Write segment/shard blobs as legacy JSON instead of `KGBIN001`
-    /// binary. Recovery auto-sniffs per blob either way; this knob exists as
-    /// the differential oracle for the binary codec and to emulate stores
-    /// written by older builds (mixed-format forward-compat tests).
-    pub json_payloads: bool,
 }
 
 impl Default for DurableOptions {
@@ -143,7 +126,6 @@ impl Default for DurableOptions {
             io_kill_after: None,
             io_kill_torn: false,
             fault_hook: None,
-            json_payloads: false,
         }
     }
 }
@@ -246,11 +228,9 @@ enum DecodedPart {
     Shard(ShardTerms),
 }
 
-/// Decode one segment blob, auto-sniffing its wire format: `KGBIN001`
-/// payloads take the zero-parse binary path, anything else the legacy JSON
-/// path. The fallback is what makes mixed-format manifests (old JSON blobs
-/// carried forward beside new binary ones) recover without ceremony. Graph
-/// segments are hashed here too, so the digest check costs no serial pass.
+/// Decode one `KGBIN001` segment blob; a payload that is not one is an
+/// attributed error. Graph segments are hashed here too, so the digest
+/// check costs no serial pass.
 fn decode_part(kind: char, index: usize, bytes: &[u8]) -> Result<DecodedPart, String> {
     fn partial<T>(slots: &[Option<T>], term: fn(&T) -> u64) -> u64 {
         slots
@@ -259,22 +239,22 @@ fn decode_part(kind: char, index: usize, bytes: &[u8]) -> Result<DecodedPart, St
             .fold(0u64, |sum, element| sum.wrapping_add(term(element)))
     }
     match kind {
-        'n' => kg_codec::decode_node_segment_auto(bytes)
+        'n' => kg_codec::decode_node_segment(bytes)
             .map(|slots| {
                 let sum = partial(&slots, node_digest);
                 DecodedPart::Node(slots, sum)
             })
             .map_err(|e| format!("node segment {index}: {e}")),
-        'e' => kg_codec::decode_edge_segment_auto(bytes)
+        'e' => kg_codec::decode_edge_segment(bytes)
             .map(|slots| {
                 let sum = partial(&slots, edge_digest);
                 DecodedPart::Edge(slots, sum)
             })
             .map_err(|e| format!("edge segment {index}: {e}")),
-        'd' => kg_codec::decode_doc_segment_auto(bytes)
+        'd' => kg_codec::decode_doc_segment(bytes)
             .map(DecodedPart::Doc)
             .map_err(|e| format!("doc segment {index}: {e}")),
-        's' => kg_codec::decode_posting_shard_auto(bytes)
+        's' => kg_codec::decode_posting_shard(bytes)
             .map(DecodedPart::Shard)
             .map_err(|e| format!("search shard {index}: {e}")),
         other => Err(format!("unknown blob kind {other:?}")),
@@ -403,11 +383,6 @@ pub struct RecoverSummary {
     /// Every manifest checkpoint record, oldest first: `(seq, cycles_done,
     /// kg_digest)`. Includes records that would fail verification.
     pub checkpoints: Vec<(u64, u64, u64)>,
-    /// Per-checkpoint payload wire format, aligned with `checkpoints`:
-    /// `"bin"`, `"json"`, or `"mixed(Nj/Mb)"` when carried-forward legacy
-    /// JSON blobs sit beside binary ones (`"empty"` for a meta-only record,
-    /// `"?"` when a blob could not be read — recovery attributes those).
-    pub payload_formats: Vec<String>,
     /// The newest checkpoint that passed verification, if any.
     pub restored: Option<(u64, u64, u64)>,
     /// Attributed quarantine events for checkpoints/blobs that failed.
@@ -417,13 +392,9 @@ pub struct RecoverSummary {
     pub stats: kg_persist::StoreStats,
 }
 
-/// Inspect (read-only) the segment store in `dir`: replay the manifest,
-/// then walk checkpoints newest-first until one verifies. With
-/// `deep = false` each candidate's blobs are checksum-verified and its meta
-/// parsed; with `deep = true` the full graph and search index are
-/// reassembled and the graph digest recomputed against the manifest — the
-/// same verification a resume performs.
-pub fn verify_dir(dir: &Path, deep: bool) -> Result<RecoverSummary, JournalError> {
+/// Open the segment store of an existing directory. A directory without a
+/// manifest is not a store: it is refused rather than initialised.
+fn open_existing(dir: &Path) -> Result<SegmentStore, JournalError> {
     if !dir.join("manifest.log").exists() {
         return Err(JournalError::Persist(
             kg_persist::PersistError::ManifestUnusable {
@@ -431,39 +402,30 @@ pub fn verify_dir(dir: &Path, deep: bool) -> Result<RecoverSummary, JournalError
             },
         ));
     }
-    let mut store = SegmentStore::open(dir, StoreOptions::default())?;
+    Ok(SegmentStore::open(dir, StoreOptions::default())?)
+}
+
+/// The store's attributed quarantine events from its last recovery.
+fn quarantine_events(store: &SegmentStore) -> Vec<String> {
+    store
+        .quarantine_log()
+        .iter()
+        .map(|event| event.to_string())
+        .collect()
+}
+
+/// Inspect (read-only) the segment store in `dir`: replay the manifest,
+/// then walk checkpoints newest-first until one verifies. With
+/// `deep = false` each candidate's blobs are checksum-verified and its meta
+/// parsed; with `deep = true` the full graph and search index are
+/// reassembled and the graph digest recomputed against the manifest — the
+/// same verification a resume performs.
+pub fn verify_dir(dir: &Path, deep: bool) -> Result<RecoverSummary, JournalError> {
+    let mut store = open_existing(dir)?;
     let checkpoints: Vec<(u64, u64, u64)> = store
         .checkpoints()
         .iter()
         .map(|r| (r.seq, r.cycles_done, r.kg_digest))
-        .collect();
-    // Classify payload formats before recovery (which truncates the record
-    // list to the survivor) so the column aligns with `checkpoints`.
-    let payload_formats: Vec<String> = store
-        .checkpoints()
-        .iter()
-        .map(|record| {
-            let (mut json_n, mut bin_n, mut unreadable) = (0usize, 0usize, false);
-            for entry in &record.entries {
-                if entry.logical == "meta" {
-                    continue;
-                }
-                match store.blob_prefix(entry, kg_codec::BIN_MAGIC.len()) {
-                    Ok(prefix) => match kg_codec::payload_format(&prefix) {
-                        kg_codec::PayloadFormat::Binary => bin_n += 1,
-                        kg_codec::PayloadFormat::Json => json_n += 1,
-                    },
-                    Err(_) => unreadable = true,
-                }
-            }
-            match (json_n, bin_n) {
-                _ if unreadable => "?".to_owned(),
-                (0, 0) => "empty".to_owned(),
-                (0, _) => "bin".to_owned(),
-                (_, 0) => "json".to_owned(),
-                (j, b) => format!("mixed({j}j/{b}b)"),
-            }
-        })
         .collect();
     let restored = if deep {
         store
@@ -482,63 +444,98 @@ pub fn verify_dir(dir: &Path, deep: bool) -> Result<RecoverSummary, JournalError
     };
     Ok(RecoverSummary {
         checkpoints,
-        payload_formats,
         restored,
-        events: store
-            .quarantine_log()
-            .iter()
-            .map(|event| event.to_string())
-            .collect(),
+        events: quarantine_events(&store),
         manifest_torn: store.manifest_torn(),
         stats: store.stats(),
     })
 }
 
-/// Persist one incremental checkpoint, commit its journal marker, then
-/// enforce retention (prune + journal truncation) and compaction. Segment
-/// and shard blobs are `KGBIN001` binary unless `json_payloads` asks for
-/// the legacy JSON oracle encoding.
-fn write_checkpoint(
-    store: &mut SegmentStore,
-    state: &mut DurableState<'_>,
-    journal: &mut Journal,
-    trace: &TraceLog,
-    json_payloads: bool,
+/// A knowledge graph read back from a segment store by [`open_store`].
+pub struct StoredKg {
+    pub graph: GraphStore,
+    pub search: SearchIndex<NodeId>,
+    /// The restored checkpoint: `(seq, cycles_done, kg_digest)`. The digest
+    /// was recomputed from the reassembled graph and matched the manifest.
+    pub checkpoint: (u64, u64, u64),
+    /// Attributed quarantine events for newer checkpoints that failed
+    /// verification and were skipped. Empty for an intact store.
+    pub events: Vec<String>,
+}
+
+/// Open the knowledge graph held in the segment store `dir` — written by a
+/// durable run or by [`write_store`] — through the manifest check and the
+/// full reassembly [`verify_dir`] performs: blob checksums, `KGBIN001`
+/// decode and the recomputed graph digest. Corrupt newer checkpoints are
+/// skipped with attribution; a store where none verifies is an error.
+pub fn open_store(dir: &Path) -> Result<StoredKg, JournalError> {
+    let mut store = open_existing(dir)?;
+    let recovered = store.recover_with(reassemble)?;
+    let events = quarantine_events(&store);
+    let Some(Recovered {
+        meta,
+        graph,
+        search,
+    }) = recovered
+    else {
+        return Err(JournalError::NoCheckpoint { events });
+    };
+    Ok(StoredKg {
+        graph,
+        search,
+        checkpoint: (meta.seq, meta.cycles_done, meta.kg_digest),
+        events,
+    })
+}
+
+/// Write a finished knowledge graph to a new segment store in `dir` as one
+/// full checkpoint: the meta and `KGBIN001` blobs a durable run writes, with
+/// no scheduler state. A `dir` that exists and is not empty is refused, so
+/// an existing store is never written into. Returns the recorded digest.
+pub fn write_store(
+    dir: &Path,
+    graph: &GraphStore,
+    search: &SearchIndex<NodeId>,
 ) -> Result<u64, JournalError> {
-    let seq = state.snapshot_seq;
-    let graph = &state.connector.graph;
-    let search = &state.connector.search;
+    if std::fs::read_dir(dir).is_ok_and(|mut entries| entries.next().is_some()) {
+        return Err(JournalError::NotEmpty(dir.to_owned()));
+    }
     let digest = graph_digest(graph);
-    // With no baseline (fresh store, or nothing survived recovery) the
-    // carry set is empty, so every blob must be written.
-    let full = store.baseline_seq().is_none();
     let meta = CheckpointMeta {
-        seq,
-        cycles_done: state.cycles_done,
+        seq: 1,
+        cycles_done: 0,
         kg_digest: digest,
-        ingested: state.ingested.iter().copied().collect(),
-        scheduler: state.scheduler.checkpoint(),
+        ingested: Vec::new(),
+        scheduler: None,
         node_segments: graph.node_segment_count(),
         edge_segments: graph.edge_segment_count(),
         search_params: search.persist_params(),
         search_doc_segments: search.doc_segment_count(),
     };
-    let mut blobs: Vec<(String, Vec<u8>)> = Vec::new();
-    blobs.push(("meta".to_owned(), serde_json::to_vec(&meta)?));
+    let blobs = checkpoint_blobs(&meta, graph, search, true)?;
+    let mut store = SegmentStore::open(dir, StoreOptions::default())?;
+    store.checkpoint(meta.seq, meta.cycles_done, digest, blobs)?;
+    Ok(digest)
+}
+
+/// The blobs of one checkpoint: `meta`, then the `KGBIN001` segment and
+/// shard blobs — every one when `full`, else only those dirtied since the
+/// last committed checkpoint (the rest are carried forward by reference).
+fn checkpoint_blobs(
+    meta: &CheckpointMeta,
+    graph: &GraphStore,
+    search: &SearchIndex<NodeId>,
+    full: bool,
+) -> Result<Vec<(String, Vec<u8>)>, JournalError> {
+    let mut blobs: Vec<(String, Vec<u8>)> = vec![("meta".to_owned(), serde_json::to_vec(meta)?)];
     let node_set: Vec<usize> = if full {
         (0..meta.node_segments).collect()
     } else {
         graph.dirty_node_segments()
     };
     for i in node_set {
-        let bytes = if json_payloads {
-            let json = graph.node_segment_json(i).expect("dirty segment exists");
-            json.into_bytes()
-        } else {
-            let slots = graph.node_segment_slots(i).expect("dirty segment exists");
-            kg_codec::encode_node_segment(slots)
-        };
-        blobs.push((format!("n{i}"), bytes));
+        let slots = graph.node_segment_slots(i).expect("dirty segment exists");
+        blobs.push((format!("n{i}"), kg_codec::encode_node_segment(slots)));
     }
     let edge_set: Vec<usize> = if full {
         (0..meta.edge_segments).collect()
@@ -546,14 +543,8 @@ fn write_checkpoint(
         graph.dirty_edge_segments()
     };
     for i in edge_set {
-        let bytes = if json_payloads {
-            let json = graph.edge_segment_json(i).expect("dirty segment exists");
-            json.into_bytes()
-        } else {
-            let slots = graph.edge_segment_slots(i).expect("dirty segment exists");
-            kg_codec::encode_edge_segment(slots)
-        };
-        blobs.push((format!("e{i}"), bytes));
+        let slots = graph.edge_segment_slots(i).expect("dirty segment exists");
+        blobs.push((format!("e{i}"), kg_codec::encode_edge_segment(slots)));
     }
     let doc_set: Vec<usize> = if full {
         (0..meta.search_doc_segments).collect()
@@ -561,14 +552,8 @@ fn write_checkpoint(
         search.dirty_doc_segments()
     };
     for i in doc_set {
-        let bytes = if json_payloads {
-            let json = search.doc_segment_json(i).expect("dirty segment exists");
-            json.into_bytes()
-        } else {
-            let slots = search.doc_segment_slots(i).expect("dirty segment exists");
-            kg_codec::encode_doc_segment(slots)
-        };
-        blobs.push((format!("d{i}"), bytes));
+        let slots = search.doc_segment_slots(i).expect("dirty segment exists");
+        blobs.push((format!("d{i}"), kg_codec::encode_doc_segment(slots)));
     }
     // Every shard is written on a full checkpoint — including empty ones —
     // so the carried entry set always holds all PERSIST_SHARDS shards.
@@ -578,13 +563,41 @@ fn write_checkpoint(
         search.dirty_persist_shards()
     };
     for s in shard_set {
-        let bytes = if json_payloads {
-            search.shard_json(s).into_bytes()
-        } else {
-            kg_codec::encode_posting_shard(&search.shard_terms(s))
-        };
-        blobs.push((format!("s{s}"), bytes));
+        blobs.push((
+            format!("s{s}"),
+            kg_codec::encode_posting_shard(&search.shard_terms(s)),
+        ));
     }
+    Ok(blobs)
+}
+
+/// Persist one incremental checkpoint, commit its journal marker, then
+/// enforce retention (prune + journal truncation) and compaction.
+fn write_checkpoint(
+    store: &mut SegmentStore,
+    state: &mut DurableState<'_>,
+    journal: &mut Journal,
+    trace: &TraceLog,
+) -> Result<u64, JournalError> {
+    let seq = state.snapshot_seq;
+    let graph = &state.connector.graph;
+    let search = &state.connector.search;
+    let digest = graph_digest(graph);
+    let meta = CheckpointMeta {
+        seq,
+        cycles_done: state.cycles_done,
+        kg_digest: digest,
+        ingested: state.ingested.iter().copied().collect(),
+        scheduler: Some(state.scheduler.checkpoint()),
+        node_segments: graph.node_segment_count(),
+        edge_segments: graph.edge_segment_count(),
+        search_params: search.persist_params(),
+        search_doc_segments: search.doc_segment_count(),
+    };
+    // With no baseline (fresh store, or nothing survived recovery) the
+    // carry set is empty, so every blob must be written.
+    let full = store.baseline_seq().is_none();
+    let blobs = checkpoint_blobs(&meta, graph, search, full)?;
     store.checkpoint(seq, state.cycles_done, digest, blobs)?;
     // The journal marker is audit only (the manifest committed above), but
     // commit buffered cycle records alongside it so the audit trail is
@@ -624,7 +637,10 @@ fn write_checkpoint(
 /// ones are quarantined with attribution and older ones tried), and the
 /// scheduler re-runs deterministically from that frontier. Calling this
 /// again over a completed directory with the same horizon is a no-op that
-/// returns the same digest.
+/// returns the same digest. A store it cannot continue is refused before
+/// anything is written: [`JournalError::NoSchedulerState`] for one written
+/// by [`write_store`], [`JournalError::NoJournal`] for checkpoints whose
+/// journal is missing.
 pub fn run_durable(
     system: &SystemConfig,
     sched_config: &SchedulerConfig,
@@ -668,72 +684,73 @@ pub fn run_durable(
         },
     )?;
 
-    let mut resumed_from = None;
-    let mut resumed_digest = None;
-    let mut replayed_records = 0;
-    let mut torn_tail = false;
-
     // A journal shorter than its magic is a torn *creation* — the very
     // first write of a fresh run died mid-magic, so nothing was ever
     // committed. Start over instead of refusing with BadHeader.
     let journal_usable = std::fs::metadata(&journal_path)
         .map(|m| m.len() >= journal::JOURNAL_MAGIC.len() as u64)
         .unwrap_or(false);
-    let (mut journal, mut state) = if journal_usable {
+    let checkpoints = store.checkpoints().len();
+    let recovered = if journal_usable || checkpoints > 0 {
+        store.recover_with(reassemble)?
+    } else {
+        None
+    };
+    // Refuse, before anything is written, a store this driver cannot
+    // continue: one that holds no crawl state (written by `write_store`),
+    // or one whose checkpoints have lost their journal.
+    let resume = match recovered {
+        Some(Recovered {
+            mut meta,
+            graph,
+            search,
+        }) => {
+            let scheduler = meta
+                .scheduler
+                .take()
+                .ok_or(JournalError::NoSchedulerState { seq: meta.seq })?;
+            Some((meta, scheduler, graph, search))
+        }
+        None => None,
+    };
+    if !journal_usable && checkpoints > 0 {
+        return Err(JournalError::NoJournal { checkpoints });
+    }
+    let recovery_events = quarantine_events(&store);
+    let resumed_from = resume.as_ref().map(|(meta, ..)| meta.seq);
+    let resumed_digest = resume.as_ref().map(|(meta, ..)| meta.kg_digest);
+    let mut state = match resume {
+        Some((meta, scheduler, graph, search)) => DurableState {
+            snapshot_seq: meta.seq,
+            cycles_done: meta.cycles_done,
+            ingested: meta.ingested.into_iter().collect(),
+            scheduler: Scheduler::restore(&web, scheduler),
+            connector: GraphConnector::with_state(graph, search),
+        },
+        // Fresh, or nothing survived: deterministic redo from the epoch
+        // start reproduces the exact same state (and the same digest).
+        None => DurableState {
+            scheduler: Scheduler::new(&web, sched_config.clone(), DEFAULT_START_MS),
+            connector: GraphConnector::new(),
+            ingested: BTreeSet::new(),
+            cycles_done: 0,
+            snapshot_seq: 0,
+        },
+    };
+    let (mut replayed_records, mut torn_tail) = (0, false);
+    let mut journal = if journal_usable {
         let replayed = journal::replay(&journal_path)?;
         replayed_records = replayed.records.len();
         torn_tail = replayed.torn_tail;
-        let journal = Journal::open_after_replay_with(&journal_path, &replayed, hook.clone())?;
-        let recovered = store.recover_with(reassemble)?;
-        let state = match recovered {
-            Some(Recovered {
-                meta,
-                graph,
-                search,
-            }) => {
-                resumed_from = Some(meta.seq);
-                resumed_digest = Some(meta.kg_digest);
-                DurableState {
-                    snapshot_seq: meta.seq,
-                    cycles_done: meta.cycles_done,
-                    ingested: meta.ingested.into_iter().collect(),
-                    scheduler: Scheduler::restore(&web, meta.scheduler),
-                    connector: GraphConnector::with_state(graph, search),
-                }
-            }
-            // Nothing survived: deterministic redo from the epoch start
-            // reproduces the exact same state (and the same digest).
-            None => DurableState {
-                scheduler: Scheduler::new(&web, sched_config.clone(), DEFAULT_START_MS),
-                connector: GraphConnector::new(),
-                ingested: BTreeSet::new(),
-                cycles_done: 0,
-                snapshot_seq: 0,
-            },
-        };
         trace.record(TraceEvent::JournalReplayed {
             records: replayed_records,
             torn_tail,
             resumed_from_snapshot: resumed_from,
         });
-        (journal, state)
+        Journal::open_after_replay_with(&journal_path, &replayed, hook.clone())?
     } else {
-        (
-            Journal::create_with(&journal_path, hook.clone())?,
-            DurableState {
-                scheduler: Scheduler::new(&web, sched_config.clone(), DEFAULT_START_MS),
-                connector: GraphConnector::new(),
-                ingested: BTreeSet::new(),
-                cycles_done: 0,
-                snapshot_seq: 0,
-            },
-        )
+        Journal::create_with(&journal_path, hook.clone())?
     };
-    let recovery_events: Vec<String> = store
-        .quarantine_log()
-        .iter()
-        .map(|event| event.to_string())
-        .collect();
 
     let records_at_start = journal.records_written();
     if let Some(after) = opts.crash_after_records {
@@ -816,13 +833,7 @@ pub fn run_durable(
         cycles_run += 1;
         if opts.snapshot_every_cycles > 0 && state.cycles_done % opts.snapshot_every_cycles == 0 {
             state.snapshot_seq += 1;
-            write_checkpoint(
-                &mut store,
-                &mut state,
-                &mut journal,
-                &trace,
-                opts.json_payloads,
-            )?;
+            write_checkpoint(&mut store, &mut state, &mut journal, &trace)?;
         }
     }
 
@@ -831,13 +842,7 @@ pub fn run_durable(
     // recovered one and whose digest recovery has just verified).
     let kg_digest = if cycles_run > 0 || state.snapshot_seq == 0 {
         state.snapshot_seq += 1;
-        write_checkpoint(
-            &mut store,
-            &mut state,
-            &mut journal,
-            &trace,
-            opts.json_payloads,
-        )?
+        write_checkpoint(&mut store, &mut state, &mut journal, &trace)?
     } else {
         resumed_digest.expect("a checkpoint sequence above 0 was restored by recovery")
     };
@@ -892,6 +897,110 @@ mod tests {
             &DurableOptions::default(),
         )
         .expect("durable run")
+    }
+
+    /// Every file of `dir` by name, with its bytes.
+    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn written_store_opens_to_the_same_graph_answers_and_histogram() {
+        let config = SystemConfig {
+            training: crate::TrainingConfig {
+                articles: 30,
+                ..crate::TrainingConfig::default()
+            },
+            ..system()
+        };
+        let mut kg = crate::SecurityKg::bootstrap_without_ner(&config);
+        kg.crawl_and_ingest();
+        let dir = tmp_dir("store-round-trip");
+        let digest = write_store(&dir, kg.graph(), kg.search_index()).unwrap();
+        assert_eq!(digest, graph_digest(kg.graph()));
+
+        let stored = open_store(&dir).unwrap();
+        assert_eq!(stored.checkpoint, (1, 0, digest));
+        assert!(stored.events.is_empty());
+        assert_eq!(graph_digest(&stored.graph), digest);
+        assert_eq!(stored.graph.label_histogram(), kg.graph().label_histogram());
+        let cypher = "MATCH (m:Malware)-->(n) RETURN m.name, n.name";
+        let rows = stored.graph.query_readonly(cypher).unwrap().rows;
+        assert!(!rows.is_empty());
+        assert_eq!(rows, kg.graph().query_readonly(cypher).unwrap().rows);
+        let names: Vec<&str> = kg.graph().all_nodes().filter_map(Node::name).collect();
+        assert!(!names.is_empty());
+        for name in names {
+            assert_eq!(
+                stored.search.search(name, 5),
+                kg.search_index().search(name, 5),
+                "{name}"
+            );
+        }
+
+        // A second write never goes into the existing store.
+        let before = files(&dir);
+        assert!(matches!(
+            write_store(&dir, kg.graph(), kg.search_index()),
+            Err(JournalError::NotEmpty(_))
+        ));
+        assert_eq!(files(&dir), before);
+        // A path that holds no store is refused, not initialised.
+        let absent = dir.join("absent");
+        assert!(open_store(&absent).is_err());
+        assert!(!absent.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_run_refuses_a_store_without_scheduler_state() {
+        let src = tmp_dir("no-scheduler-src");
+        let built = run(&src, DEFAULT_START_MS + 3 * 3_600_000);
+        let _ = std::fs::remove_dir_all(&src);
+        let dir = tmp_dir("no-scheduler");
+        write_store(&dir, &built.graph, &built.search).unwrap();
+        let before = files(&dir);
+        let err = run_durable(
+            &system(),
+            &SchedulerConfig::default(),
+            &dir,
+            DEFAULT_START_MS + 6 * 3_600_000,
+            &DurableOptions::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, JournalError::NoSchedulerState { seq: 1 }),
+            "{err}"
+        );
+        assert_eq!(files(&dir), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_run_refuses_checkpoints_without_a_journal() {
+        let dir = tmp_dir("no-journal");
+        let first = run(&dir, DEFAULT_START_MS + 3 * 3_600_000);
+        assert!(first.cycles_run > 0);
+        std::fs::remove_file(dir.join("journal.log")).unwrap();
+        let before = files(&dir);
+        let err = run_durable(
+            &system(),
+            &SchedulerConfig::default(),
+            &dir,
+            DEFAULT_START_MS + 6 * 3_600_000,
+            &DurableOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, JournalError::NoJournal { .. }), "{err}");
+        assert_eq!(files(&dir), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A checkpoint whose every blob is intact and checksum-valid, and whose

@@ -18,8 +18,9 @@
 //! Replay stops at the first frame whose length, checksum or JSON does not
 //! check out and reports how many clean bytes precede it; re-opening for
 //! append truncates the torn tail away. Records are *facts about the past*,
-//! never instructions: recovery correctness comes from the snapshot sidecars
-//! the `Snapshot` markers point at (see DESIGN.md "Failure model & recovery").
+//! never instructions: recovery correctness comes from the segment-store
+//! checkpoints the `Snapshot` markers point at (see DESIGN.md "Failure model
+//! & recovery").
 
 use kg_persist::format::{decode_frame_at, encode_frame_into};
 use kg_persist::{FaultHook, PersistError, Vfs, FRAME_HEADER};
@@ -65,7 +66,7 @@ pub enum JournalRecord {
     },
 }
 
-/// Journal failure modes.
+/// Failure modes of the journal and of the durable store beside it.
 #[derive(Debug)]
 pub enum JournalError {
     Io(std::io::Error),
@@ -77,6 +78,22 @@ pub enum JournalError {
     InjectedCrash,
     /// The segment store underneath the snapshots failed.
     Persist(PersistError),
+    /// The restored checkpoint holds no crawl scheduler state (a store
+    /// written by `durable::write_store`), so a durable run cannot resume it.
+    NoSchedulerState {
+        seq: u64,
+    },
+    /// The directory holds checkpoints but no usable journal; a durable run
+    /// refuses to start fresh over them.
+    NoJournal {
+        checkpoints: usize,
+    },
+    /// No checkpoint of the store verifies; the attributed quarantine events.
+    NoCheckpoint {
+        events: Vec<String>,
+    },
+    /// A new store must go into an absent or empty directory.
+    NotEmpty(std::path::PathBuf),
 }
 
 impl fmt::Display for JournalError {
@@ -87,6 +104,24 @@ impl fmt::Display for JournalError {
             JournalError::BadHeader => write!(f, "journal header is not {JOURNAL_MAGIC:?}"),
             JournalError::InjectedCrash => write!(f, "injected crash point reached"),
             JournalError::Persist(e) => write!(f, "{e}"),
+            JournalError::NoSchedulerState { seq } => write!(
+                f,
+                "checkpoint {seq} holds no crawl scheduler state (a store written by \
+                 `build --out`); a durable run cannot resume it"
+            ),
+            JournalError::NoJournal { checkpoints } => write!(
+                f,
+                "{checkpoints} checkpoint(s) but no usable journal.log; \
+                 refusing to start a fresh run over them"
+            ),
+            JournalError::NoCheckpoint { events } => {
+                write!(f, "no checkpoint verifies ({} quarantined)", events.len())
+            }
+            JournalError::NotEmpty(dir) => write!(
+                f,
+                "{} exists and is not empty; a new store is never written into it",
+                dir.display()
+            ),
         }
     }
 }

@@ -34,7 +34,6 @@ pub mod evalx;
 pub mod explorer;
 pub mod journal;
 pub mod quality;
-pub mod snapshot;
 pub mod stix;
 pub mod train;
 
@@ -56,14 +55,13 @@ pub use kg_search as search;
 pub use kg_serve as serve;
 
 pub use durable::{
-    graph_digest, run_durable, verify_dir, DurableOptions, DurableReport, RecoverSummary,
-    SnapshotPayload, DEFAULT_START_MS,
+    graph_digest, open_store, run_durable, verify_dir, write_store, DurableOptions, DurableReport,
+    RecoverSummary, StoredKg, DEFAULT_START_MS,
 };
 pub use evalx::{evaluate_ner, evaluate_relations, ExtractionScores};
 pub use explorer::{Explorer, ViewNode, ViewSnapshot};
 pub use journal::{replay, Journal, JournalError, JournalRecord, Replay};
 pub use quality::{source_quality, QualityReport, VendorQuality};
-pub use snapshot::KnowledgeBase;
 pub use stix::{export_bundle, import_bundle};
 pub use train::{collect_gold, train_ner, LabelSource, TrainedNer, TrainingConfig, TrainingPhases};
 

@@ -61,11 +61,6 @@ impl GoldReport {
             .iter()
             .all(|r| r.subject < self.mentions.len() && r.object < self.mentions.len())
     }
-
-    /// Mentions of a given kind.
-    pub fn mentions_of(&self, kind: EntityKind) -> impl Iterator<Item = &GoldMention> {
-        self.mentions.iter().filter(move |m| m.kind == kind)
-    }
 }
 
 /// Incremental builder that keeps text and annotations aligned.
@@ -131,11 +126,6 @@ impl TextBuilder {
     /// Whether nothing has been appended.
     pub fn is_empty(&self) -> bool {
         self.text.is_empty()
-    }
-
-    /// Number of mentions so far.
-    pub fn mention_count(&self) -> usize {
-        self.mentions.len()
     }
 
     /// Finish, producing the text and annotations.

@@ -61,14 +61,6 @@ impl CrawlMetrics {
         }
         self.new_reports as f64 * 60_000.0 / elapsed
     }
-
-    /// Reports per real (wall-clock) minute.
-    pub fn reports_per_wall_minute(&self) -> f64 {
-        if self.wall_ms == 0 {
-            return 0.0;
-        }
-        self.new_reports as f64 * 60_000.0 / self.wall_ms as f64
-    }
 }
 
 /// Crawl every source once with `config.threads` workers, starting at

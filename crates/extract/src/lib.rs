@@ -8,8 +8,6 @@
 //!   lemma, POS, affixes, IOC class, gazetteers, embedding clusters).
 //! - [`crf`] — a linear-chain Conditional Random Field trained by SGD on the
 //!   log-likelihood, decoded with Viterbi (the paper's model choice).
-//! - [`perceptron`] — an averaged structured perceptron trainer over the same
-//!   features (ablation baseline).
 //! - [`labeling`] — data programming: labeling functions over curated lists
 //!   plus a generative label model fit by EM, used to synthesise training
 //!   annotations programmatically (Ratner et al., as cited by the paper).
@@ -25,7 +23,6 @@ pub mod label;
 pub mod labeling;
 pub mod metrics;
 pub mod ner;
-pub mod perceptron;
 pub mod relation;
 
 pub use crf::{Crf, CrfConfig};

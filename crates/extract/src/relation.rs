@@ -18,7 +18,6 @@
 //! ([`kg_ontology::Ontology::resolve_extracted`]); inadmissible pairs degrade
 //! to `RELATED_TO` or are dropped.
 
-use crate::label::LabelId;
 use kg_nlp::{AnalyzedSentence, PosTag};
 use kg_ontology::{EntityKind, Ontology, RelationKind};
 use serde::{Deserialize, Serialize};
@@ -188,15 +187,6 @@ fn is_coordination(sentence: &AnalyzedSentence, from: usize, to: usize) -> bool 
         }
     }
     any
-}
-
-/// Convenience: convert BIO label ids into [`EntitySpan`]s.
-pub fn spans_from_labels(labels: &crate::label::LabelSet, ids: &[LabelId]) -> Vec<EntitySpan> {
-    labels
-        .decode_spans(ids)
-        .into_iter()
-        .map(|(kind, start, end)| EntitySpan { kind, start, end })
-        .collect()
 }
 
 #[cfg(test)]

@@ -432,11 +432,6 @@ impl CompiledPlan {
         })
     }
 
-    /// Parameter names this plan references, in first-use order.
-    pub fn param_names(&self) -> &[String] {
-        &self.params
-    }
-
     /// Human-readable plan description: scan kind per pattern (and which
     /// index backs it), hop bounds, filter/projection facts.
     pub fn explain(&self) -> String {

@@ -1105,11 +1105,6 @@ impl GraphStore {
         self.nodes.slots()
     }
 
-    /// Total edge slots ever allocated (live + tombstoned).
-    pub fn edge_slot_count(&self) -> usize {
-        self.edges.slots()
-    }
-
     /// Number of node arena segments.
     pub fn node_segment_count(&self) -> usize {
         self.nodes.seg_count()
@@ -1118,20 +1113,6 @@ impl GraphStore {
     /// Number of edge arena segments.
     pub fn edge_segment_count(&self) -> usize {
         self.edges.seg_count()
-    }
-
-    /// One node arena segment as JSON (`null` entries are tombstones).
-    pub fn node_segment_json(&self, index: usize) -> Option<String> {
-        self.nodes
-            .segment(index)
-            .map(|seg| serde_json::to_string(seg).expect("node segment serialises"))
-    }
-
-    /// One edge arena segment as JSON (`null` entries are tombstones).
-    pub fn edge_segment_json(&self, index: usize) -> Option<String> {
-        self.edges
-            .segment(index)
-            .map(|seg| serde_json::to_string(seg).expect("edge segment serialises"))
     }
 
     /// One node arena segment as raw slots (`None` entries are tombstones) —
@@ -1164,7 +1145,7 @@ impl GraphStore {
     }
 
     /// Reassemble a store from per-segment slot vectors (the inverse of
-    /// reading every `*_segment_json`). Validates the arena shape and that
+    /// reading every `*_segment_slots`). Validates the arena shape and that
     /// each element sits in the slot its id names; indexes are rebuilt and
     /// the dirty sets stay clear (the reassembled state *is* the disk state,
     /// so the next incremental checkpoint need not rewrite it).
@@ -1250,6 +1231,11 @@ impl GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serialise through serde_json and parse the bytes back.
+    fn json_round_trip<T: Serialize + ?Sized, U: Deserialize>(value: &T) -> U {
+        serde_json::from_slice(&serde_json::to_vec(value).unwrap()).unwrap()
+    }
 
     #[test]
     fn create_and_lookup() {
@@ -1418,10 +1404,10 @@ mod tests {
 
         // Round trip through per-segment JSON.
         let node_parts: Vec<Vec<Option<Node>>> = (0..g.node_segment_count())
-            .map(|i| serde_json::from_str(&g.node_segment_json(i).unwrap()).unwrap())
+            .map(|i| json_round_trip(g.node_segment_slots(i).unwrap()))
             .collect();
         let edge_parts: Vec<Vec<Option<Edge>>> = (0..g.edge_segment_count())
-            .map(|i| serde_json::from_str(&g.edge_segment_json(i).unwrap()).unwrap())
+            .map(|i| json_round_trip(g.edge_segment_slots(i).unwrap()))
             .collect();
         let back = GraphStore::from_segments(node_parts, edge_parts).unwrap();
         assert_eq!(back.digest(), g.digest());
@@ -1434,8 +1420,7 @@ mod tests {
 
         // Shape violations are clean errors, not panics.
         assert!(GraphStore::from_segments(vec![vec![None::<Node>]; 2], Vec::new()).is_err());
-        let mut wrong_slot: Vec<Option<Node>> =
-            serde_json::from_str(&g.node_segment_json(0).unwrap()).unwrap();
+        let mut wrong_slot: Vec<Option<Node>> = json_round_trip(g.node_segment_slots(0).unwrap());
         wrong_slot.rotate_right(1);
         assert!(GraphStore::from_segments(vec![wrong_slot], Vec::new()).is_err());
     }

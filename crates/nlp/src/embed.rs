@@ -219,11 +219,6 @@ impl Embeddings {
             .map(|&i| &self.vectors[i * self.dims..(i + 1) * self.dims])
     }
 
-    /// Vocabulary id for `word`.
-    pub fn word_id(&self, word: &str) -> Option<usize> {
-        self.vocab.get(word).copied()
-    }
-
     /// The word list, most frequent first.
     pub fn words(&self) -> &[String] {
         &self.words

@@ -46,14 +46,6 @@ impl Token {
     pub fn is_ioc(&self) -> bool {
         matches!(self.kind, TokenKind::Ioc(_))
     }
-
-    /// The IOC kind, if this token is a protected IOC.
-    pub fn ioc_kind(&self) -> Option<EntityKind> {
-        match self.kind {
-            TokenKind::Ioc(k) => Some(k),
-            _ => None,
-        }
-    }
 }
 
 /// Plain tokenizer. Word chars glue with interior `-` and `'`; digit runs

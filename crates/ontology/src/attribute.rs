@@ -93,14 +93,6 @@ impl AttributeValue {
         }
     }
 
-    /// The value as an integer, if it is one.
-    pub fn as_integer(&self) -> Option<i64> {
-        match self {
-            AttributeValue::Integer(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The value as a float; integers coerce.
     pub fn as_float(&self) -> Option<f64> {
         match self {

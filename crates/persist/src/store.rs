@@ -340,19 +340,6 @@ impl SegmentStore {
         Ok(None)
     }
 
-    /// Read the first `n` payload bytes of one referenced blob — enough for
-    /// format sniffing (`recover --verify`'s payload column) — without
-    /// loading or checksumming the whole frame. Truncated files surface as
-    /// an I/O error.
-    pub fn blob_prefix(&self, entry: &BlobEntry, n: usize) -> Result<Vec<u8>, PersistError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = std::fs::File::open(self.dir.join(&entry.file))?;
-        file.seek(SeekFrom::Start(entry.offset + FRAME_HEADER as u64))?;
-        let mut buf = vec![0u8; n.min(entry.len as usize)];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
     /// Drop retained records beyond the retention count and delete data
     /// files no retained record references. Returns deleted file names.
     pub fn prune(&mut self) -> Result<Vec<String>, PersistError> {

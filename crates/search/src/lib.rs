@@ -27,7 +27,7 @@ pub const PERSIST_SHARDS: usize = 64;
 /// checkpoint's watermark.
 pub const DOC_SEG: usize = 256;
 
-/// One persisted term shard, as [`SearchIndex::shard_json`] encodes it:
+/// One persisted term shard, as [`SearchIndex::shard_terms`] returns it:
 /// sorted `(term, [(doc, tf), ...])` pairs.
 pub type ShardTerms = Vec<(String, Vec<(u32, u32)>)>;
 
@@ -386,20 +386,6 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
         self.docs.len().div_ceil(DOC_SEG)
     }
 
-    /// One doc-table segment as JSON: `[(key, token_len), ...]`.
-    pub fn doc_segment_json(&self, index: usize) -> Option<String>
-    where
-        D: Serialize,
-    {
-        let a = index.checked_mul(DOC_SEG)?;
-        if a >= self.docs.len() {
-            return None;
-        }
-        let b = (a + DOC_SEG).min(self.docs.len());
-        let seg: Vec<(D, u32)> = self.docs[a..b].to_vec();
-        Some(serde_json::to_string(&seg).expect("doc segment serialises"))
-    }
-
     /// One doc-table segment as raw `(key, token_len)` slots — what
     /// `kg-codec` packs into a `KGBIN001` binary payload.
     pub fn doc_segment_slots(&self, index: usize) -> Option<&[(D, u32)]> {
@@ -430,13 +416,6 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
         terms
     }
 
-    /// One term shard as JSON: sorted `[(term, [(doc, tf), ...]), ...]`.
-    /// The JSON form survives as the differential oracle for the binary
-    /// codec (and for stores written by older builds).
-    pub fn shard_json(&self, shard: usize) -> String {
-        serde_json::to_string(&self.shard_terms(shard)).expect("shard serialises")
-    }
-
     /// Term shards touched since the last [`SearchIndex::clear_persist_dirty`].
     pub fn dirty_persist_shards(&self) -> Vec<usize> {
         self.dirty_shards.iter().copied().collect()
@@ -460,7 +439,8 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
     }
 
     /// Reassemble an index from persisted parts (the inverse of reading
-    /// every `doc_segment_json` and all [`PERSIST_SHARDS`] `shard_json`s).
+    /// every [`SearchIndex::doc_segment_slots`] and all [`PERSIST_SHARDS`]
+    /// [`SearchIndex::shard_terms`]).
     /// Validates shard assignment and posting bounds; the result is clean —
     /// it matches what is on disk.
     pub fn from_persist_parts(
@@ -666,10 +646,15 @@ mod tests {
         let mut idx = index();
         // Full dump: every shard (including empty ones) + every doc segment.
         let shards: Vec<ShardTerms> = (0..PERSIST_SHARDS)
-            .map(|s| serde_json::from_str(&idx.shard_json(s)).unwrap())
+            .map(|s| {
+                serde_json::from_str(&serde_json::to_string(&idx.shard_terms(s)).unwrap()).unwrap()
+            })
             .collect();
         let docs: Vec<Vec<(u32, u32)>> = (0..idx.doc_segment_count())
-            .map(|i| serde_json::from_str(&idx.doc_segment_json(i).unwrap()).unwrap())
+            .map(|i| {
+                let slots = idx.doc_segment_slots(i).unwrap();
+                serde_json::from_str(&serde_json::to_string(slots).unwrap()).unwrap()
+            })
             .collect();
         let back =
             SearchIndex::<u32>::from_persist_parts(idx.persist_params(), docs, shards.clone())

@@ -65,7 +65,6 @@ pub type ShardDoc = (u32, NodeId);
 /// partition, its owned adjacency entries, and its partial digest.
 pub struct ShardSnapshot {
     shard: usize,
-    shards: usize,
     version: u64,
     /// Seedless wrapping sum of owned element digest terms. Summing all
     /// shards' partials and adding [`DIGEST_SEED`] yields the canonical
@@ -86,11 +85,6 @@ impl ShardSnapshot {
     /// Which shard of how many this is.
     pub fn shard(&self) -> usize {
         self.shard
-    }
-
-    /// Total shard count of the partition this snapshot belongs to.
-    pub fn shard_count(&self) -> usize {
-        self.shards
     }
 
     /// Publish sequence number (0 until published).
@@ -244,7 +238,6 @@ impl ShardSet {
         let slice = self.epoch.slice(shard);
         ShardSnapshot {
             shard,
-            shards: self.shards(),
             version: 0,
             partial_digest: slice.partial,
             graph: graph.clone(),
@@ -334,7 +327,6 @@ impl ShardedServe {
                 .map(|_| {
                     RwLock::new(Arc::new(ShardSnapshot {
                         shard: 0,
-                        shards: 1,
                         version: 0,
                         partial_digest: 0,
                         graph: GraphStore::new(),

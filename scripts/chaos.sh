@@ -9,8 +9,13 @@
 #   3. flip a byte inside the newest data segment → `recover --verify` still
 #      exits 0 with the corruption attributed, and a resume falls back past
 #      the quarantined checkpoint to the reference digest;
-#   4. destroy the manifest magic → `recover` fails cleanly (exit 1, no panic);
-#   5. an elevated-fault (--chaos) build completes.
+#   4. the CLI read commands (stats/search/cypher/export-stix/hunt/serve)
+#      open both a durable store and a `build --out` store, and stats prints
+#      the build's kg-digest; `build --out` refuses an existing store; stats
+#      over a flipped byte exits 0 or 1 (never panics), and over a missing
+#      path exits 1;
+#   5. destroy the manifest magic → `recover` fails cleanly (exit 1, no panic);
+#   6. an elevated-fault (--chaos) build completes.
 # Run from anywhere; exits non-zero on the first divergence.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -129,40 +134,65 @@ if [ "$GOT" != "$FLIPREF" ]; then
 fi
 echo "resume fell back past the quarantined checkpoint; digest matches"
 
-echo "== mixed payload formats: legacy JSON prefix, binary resume =="
-DIR="$WORK/mixed"
-"$BIN" build --journal "$DIR" --articles "$ARTICLES" --days 0 --seed "$SEED" \
-  --snapshot-every 2 --json-payloads >"$WORK/mixed-json.out" 2>/dev/null
-"$BIN" recover --dir "$DIR" --verify >"$WORK/mixed-verify-json.out" 2>&1
-if ! grep -q 'payload json' "$WORK/mixed-verify-json.out"; then
-  echo "FAIL: recover did not report the legacy checkpoints as 'payload json'" >&2
-  cat "$WORK/mixed-verify-json.out" >&2
+echo "== CLI reads over a durable store and a build --out store =="
+OUT="$WORK/out-store"
+"$BIN" build --out "$OUT" --articles "$ARTICLES" --seed "$SEED" >"$WORK/out-build.out" 2>/dev/null
+OUTREF=$(digest_of "$WORK/out-build.out")
+printf 'search wannacry\ncypher MATCH (n:Malware) RETURN count(*)\n' >"$WORK/queries.txt"
+for STORE in "$WORK/ref=$REF" "$OUT=$OUTREF"; do
+  DIR=${STORE%%=*}
+  WANT=${STORE##*=}
+  "$BIN" stats --kg "$DIR" >"$WORK/stats.out"
+  GOT=$(digest_of "$WORK/stats.out")
+  if [ -z "$WANT" ] || [ "$GOT" != "$WANT" ]; then
+    echo "FAIL: stats --kg $DIR printed kg-digest '$GOT', the build printed '$WANT'" >&2
+    exit 1
+  fi
+  "$BIN" search --kg "$DIR" wannacry >/dev/null
+  "$BIN" cypher --kg "$DIR" 'MATCH (n:Malware) RETURN count(*)' >/dev/null 2>&1
+  "$BIN" export-stix --kg "$DIR" --out "$WORK/bundle.json" 2>/dev/null
+  "$BIN" hunt --kg "$DIR" --events 500 >/dev/null 2>&1
+  "$BIN" serve --kg "$DIR" --queries "$WORK/queries.txt" --readers 1 --rounds 1 >/dev/null 2>&1
+  echo "$DIR: stats/search/cypher/export-stix/hunt/serve ok, kg-digest $GOT"
+done
+# build --out never writes into an existing store.
+BEFORE=$(cat "$OUT"/* | cksum)
+if "$BIN" build --out "$OUT" --articles "$ARTICLES" --seed "$SEED" >/dev/null 2>&1; then
+  echo "FAIL: build --out wrote into an existing store" >&2
   exit 1
 fi
-if grep -Eq 'payload (bin|mixed)' "$WORK/mixed-verify-json.out"; then
-  echo "FAIL: json-payload run reported binary blobs" >&2
-  cat "$WORK/mixed-verify-json.out" >&2
+if [ "$(cat "$OUT"/* | cksum)" != "$BEFORE" ]; then
+  echo "FAIL: a refused build --out changed the existing store" >&2
   exit 1
 fi
-# Resume the legacy store with the binary-writing default: carried-forward
-# JSON blobs now sit beside fresh KGBIN001 blobs in the same manifest.
-"$BIN" build --resume "$DIR" --articles "$ARTICLES" --days 2 --seed "$SEED" \
-  --snapshot-every 2 >"$WORK/mixed-resume.out" 2>/dev/null
-MIXED=$(digest_of "$WORK/mixed-resume.out")
-"$BIN" build --journal "$WORK/mixed-ref" --articles "$ARTICLES" --days 2 --seed "$SEED" \
-  --snapshot-every 2 >"$WORK/mixed-ref.out" 2>/dev/null
-MIXEDREF=$(digest_of "$WORK/mixed-ref.out")
-if [ "$MIXED" != "$MIXEDREF" ]; then
-  echo "FAIL: mixed-format resume produced $MIXED, binary reference $MIXEDREF" >&2
+# A flipped byte in the newest checkpoint: stats falls back (exit 0) or
+# fails cleanly (exit 1); a panic exits 101.
+DIR="$WORK/flip-read"
+cp -r "$SRC" "$DIR"
+DATA=$(ls "$DIR"/data-*.log | sort | tail -1)
+SIZE=$(wc -c <"$DATA")
+OLD=$(tail -c 1 "$DATA" | od -An -tu1 | tr -d ' ')
+printf "$(printf '\\%03o' $((OLD ^ 255)))" |
+  dd of="$DATA" bs=1 seek=$((SIZE - 1)) conv=notrunc 2>/dev/null
+set +e
+"$BIN" stats --kg "$DIR" >"$WORK/flip-stats.out" 2>&1
+CODE=$?
+set -e
+if [ "$CODE" -ne 0 ] && [ "$CODE" -ne 1 ]; then
+  echo "FAIL: stats --kg exited $CODE over a flipped byte" >&2
+  cat "$WORK/flip-stats.out" >&2
   exit 1
 fi
-"$BIN" recover --dir "$DIR" --verify >"$WORK/mixed-verify.out" 2>&1
-if ! grep -Eq 'payload (bin|mixed)' "$WORK/mixed-verify.out"; then
-  echo "FAIL: post-resume store shows no binary payloads" >&2
-  cat "$WORK/mixed-verify.out" >&2
+echo "stats --kg over a flipped byte exited $CODE"
+set +e
+"$BIN" stats --kg "$WORK/missing" >"$WORK/missing.out" 2>&1
+CODE=$?
+set -e
+if [ "$CODE" -ne 1 ] || [ -e "$WORK/missing" ]; then
+  echo "FAIL: stats --kg on a missing path exited $CODE (want 1, nothing created)" >&2
   exit 1
 fi
-echo "mixed-format store recovers to the reference digest; formats reported"
+echo "stats --kg on a missing path fails cleanly"
 
 echo "== destroyed manifest magic fails cleanly =="
 DIR="$WORK/flip-manifest"

@@ -7,8 +7,7 @@
 //! never a panic or an over-read.
 
 use kg_codec::{
-    decode_doc_segment, decode_doc_segment_auto, decode_edge_segment, decode_edge_segment_auto,
-    decode_node_segment, decode_node_segment_auto, decode_posting_shard, decode_posting_shard_auto,
+    decode_doc_segment, decode_edge_segment, decode_node_segment, decode_posting_shard,
     encode_doc_segment, encode_edge_segment, encode_node_segment, encode_posting_shard,
     validate_payload,
 };
@@ -87,9 +86,8 @@ proptest! {
             serde_json::from_slice(&json).expect("oracle decodes");
         prop_assert_eq!(&from_bin, &from_json);
         prop_assert_eq!(&from_bin, &slots);
-        // The auto decoder sniffs both wire formats to the same value.
-        prop_assert_eq!(decode_node_segment_auto(&bin).unwrap(), slots.clone());
-        prop_assert_eq!(decode_node_segment_auto(&json).unwrap(), slots);
+        // The oracle's bytes are not a payload: the decoder rejects them.
+        prop_assert!(decode_node_segment(&json).is_err());
     }
 
     #[test]
@@ -121,7 +119,7 @@ proptest! {
             serde_json::from_slice(&json).expect("oracle decodes");
         prop_assert_eq!(&from_bin, &from_json);
         prop_assert_eq!(&from_bin, &slots);
-        prop_assert_eq!(decode_edge_segment_auto(&json).unwrap(), slots);
+        prop_assert!(decode_edge_segment(&json).is_err());
     }
 
     #[test]
@@ -138,7 +136,8 @@ proptest! {
         validate_payload(&bin).expect("doc segment validates");
         prop_assert_eq!(decode_doc_segment(&bin).unwrap(), docs.clone());
         let json = serde_json::to_vec(&docs).expect("doc segment serialises");
-        prop_assert_eq!(decode_doc_segment_auto(&json).unwrap(), docs);
+        let from_json: Vec<(NodeId, u32)> = serde_json::from_slice(&json).expect("oracle decodes");
+        prop_assert_eq!(from_json, docs);
 
         // Posting shards need strictly-ascending unique terms and ascending
         // docs per term: dedup via a BTreeMap and prefix-sum the doc gaps.
@@ -163,7 +162,7 @@ proptest! {
         prop_assert_eq!(decode_posting_shard(&bin).unwrap(), shard.clone());
         let json = serde_json::to_vec(&shard).expect("shard serialises");
         let from_json: ShardTerms = serde_json::from_slice(&json).expect("oracle decodes");
-        prop_assert_eq!(decode_posting_shard_auto(&bin).unwrap(), from_json);
+        prop_assert_eq!(decode_posting_shard(&bin).unwrap(), from_json);
     }
 
     #[test]

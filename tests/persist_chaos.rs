@@ -21,11 +21,13 @@
 //!
 //! Plus a barrier-order audit: the recorded I/O log must show every data
 //! frame fsynced before the manifest record referencing it, and every
-//! manifest append fsynced immediately (the commit point).
+//! manifest append fsynced immediately (the commit point), and a foreign
+//! payload check: a checkpoint whose blob holds serde_json bytes under a
+//! valid frame is quarantined like any other corruption.
 
 use securitykg::corpus::{FaultProfile, WorldConfig};
 use securitykg::crawler::SchedulerConfig;
-use securitykg::persist::{FaultHook, IoOp};
+use securitykg::persist::{FaultHook, IoOp, SegmentStore, StoreOptions};
 use securitykg::{
     run_durable, verify_dir, DurableOptions, DurableReport, JournalError, SystemConfig,
 };
@@ -223,7 +225,7 @@ fn bit_flips_inside_binary_payloads_degrade_gracefully() {
             corrupt[payload_at + rel] ^= 0xFF;
             std::fs::write(dir.join(&entry.file), &corrupt).unwrap();
 
-            // Inspection (including format sniffing) must never panic.
+            // Inspection must never panic.
             let _ = verify_dir(&dir, true);
 
             // The frame checksum quarantines the flipped blob's checkpoint;
@@ -246,78 +248,63 @@ fn bit_flips_inside_binary_payloads_degrade_gracefully() {
 }
 
 #[test]
-fn mixed_format_manifests_recover_and_report_their_formats() {
+fn json_segment_payload_is_quarantined_and_resume_reproduces_the_reference() {
     let system = system(43);
-    let bin_opts = DurableOptions {
+    let opts = DurableOptions {
         snapshot_every_cycles: 3,
         ..DurableOptions::default()
     };
-    let json_opts = DurableOptions {
-        json_payloads: true,
-        ..bin_opts.clone()
-    };
     let horizon = START + 24 * 3_600_000;
-
-    // Uninterrupted binary run: the reference digest.
-    let ref_dir = tmp_dir("mixed-ref", 0);
-    let reference = run(&ref_dir, &system, horizon, &bin_opts);
+    let ref_dir = tmp_dir("jsonblob-ref", 0);
+    let reference = run(&ref_dir, &system, horizon, &opts);
     let _ = std::fs::remove_dir_all(&ref_dir);
 
-    // All-JSON run over the same horizon: the differential oracle. Both
-    // wire formats must describe the same knowledge graph.
-    let json_dir = tmp_dir("mixed-json", 0);
-    let oracle = run(&json_dir, &system, horizon, &json_opts);
-    assert_eq!(
-        oracle.kg_digest, reference.kg_digest,
-        "JSON and binary payloads diverged on an uninterrupted run"
-    );
-    let summary = verify_dir(&json_dir, true).expect("json store verifies");
-    assert!(summary.restored.is_some(), "{summary:?}");
-    assert!(
-        summary.payload_formats.iter().all(|f| f == "json"),
-        "json-only run reported formats {:?}",
-        summary.payload_formats
-    );
-    let _ = std::fs::remove_dir_all(&json_dir);
-
-    // Forward-compat: a legacy all-JSON prefix, then a binary-writing
-    // version resumes on top of it. Carried-forward JSON blobs now sit
-    // beside fresh binary ones in the same manifest records.
-    let dir = tmp_dir("mixed", 0);
-    let first = run(&dir, &system, START, &json_opts);
+    let dir = tmp_dir("jsonblob", 0);
+    let first = run(&dir, &system, START, &opts);
     assert!(first.cycles_run > 0);
-    let summary = verify_dir(&dir, false).expect("legacy store verifies");
-    assert!(!summary.checkpoints.is_empty());
-    assert!(
-        summary.payload_formats.iter().all(|f| f == "json"),
-        "legacy prefix reported formats {:?}",
-        summary.payload_formats
-    );
 
-    let resumed = run(&dir, &system, horizon, &bin_opts);
-    assert!(
-        resumed.resumed_from_snapshot.is_some(),
-        "binary resume redid the run from scratch: {resumed:?}"
+    // Commit a checkpoint that differs from the newest only in blob n0: the
+    // same slots as serde_json bytes, under a valid frame and checksum. Its
+    // meta is the newest one's, renumbered (`seq` is the first field).
+    let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+    let (newest, blobs) = store
+        .recover_with(|record, blobs| Ok((record.clone(), blobs.clone())))
+        .unwrap()
+        .expect("a checkpoint");
+    let seq = newest.seq + 1;
+    let meta = String::from_utf8(blobs["meta"].clone()).unwrap();
+    let old_prefix = format!("{{\"seq\":{},", newest.seq);
+    assert!(meta.starts_with(&old_prefix), "{meta}");
+    let meta = meta.replacen(&old_prefix, &format!("{{\"seq\":{seq},"), 1);
+    let slots = kg_codec::decode_node_segment(&blobs["n0"]).unwrap();
+    let json = serde_json::to_vec(&slots).unwrap();
+    store
+        .checkpoint(
+            seq,
+            newest.cycles_done,
+            newest.kg_digest,
+            vec![
+                ("meta".to_owned(), meta.into_bytes()),
+                ("n0".to_owned(), json),
+            ],
+        )
+        .unwrap();
+    drop(store);
+
+    let attribution = format!(
+        "checkpoint {seq}: quarantined -: node segment 0: byte 0: bad magic (not a KGBIN001 payload)"
     );
+    let summary = verify_dir(&dir, true).expect("store verifies");
     assert_eq!(
-        resumed.kg_digest, reference.kg_digest,
-        "mixed-format recovery diverged from the binary reference"
+        summary.restored,
+        Some((newest.seq, newest.cycles_done, newest.kg_digest))
     );
+    assert_eq!(summary.events, vec![attribution.clone()]);
 
-    let summary = verify_dir(&dir, true).expect("mixed store verifies");
-    assert!(summary.restored.is_some(), "{summary:?}");
-    let formats = &summary.payload_formats;
-    assert!(
-        formats
-            .iter()
-            .any(|f| f.starts_with("mixed(") || f == "bin"),
-        "no checkpoint reports binary payloads after the resume: {formats:?}"
-    );
-    let newest = formats.last().unwrap();
-    assert!(
-        newest.starts_with("mixed(") || newest == "bin",
-        "newest checkpoint should carry binary payloads, got {newest}"
-    );
+    let resumed = run(&dir, &system, horizon, &opts);
+    assert_eq!(resumed.resumed_from_snapshot, Some(newest.seq));
+    assert_eq!(resumed.recovery_events, vec![attribution]);
+    assert_eq!(resumed.kg_digest, reference.kg_digest);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
