@@ -29,6 +29,33 @@ use securitykg::{
 use std::path::Path;
 use std::process::ExitCode;
 
+/// Print one line of output to stdout, like `println!`. A reader that
+/// closed the pipe early (`securitykg stats --kg kg/ | head -4`) has all it
+/// wanted, so a broken pipe ends the process with success instead of a
+/// panic; any other write failure ends it with failure.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// The one writer behind [`out!`].
+fn emit(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout
+        .write_fmt(line)
+        .and_then(|()| stdout.write_all(b"\n"))
+        .and_then(|()| stdout.flush());
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write output: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Exit code of a `--crash-after-records` run that hit its injected crash —
 /// distinct from ordinary failure so `scripts/chaos.sh` can tell "killed as
 /// planned" from "actually broken".
@@ -50,7 +77,7 @@ fn main() -> ExitCode {
         "hunt" => cmd_hunt(&args[1..]).map(|()| ExitCode::SUCCESS),
         "serve" => cmd_serve(&args[1..]).map(|()| ExitCode::SUCCESS),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            out!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown subcommand {other:?}\n{USAGE}")),
@@ -348,7 +375,7 @@ fn cmd_build_durable(
         eprintln!("trace (newest 20 events):");
         eprint!("{}", report.trace.render_tail(20));
     }
-    println!("kg-digest: {:016x}", report.kg_digest);
+    out!("kg-digest: {:016x}", report.kg_digest);
     if let Some(shards) = parse_shards(flags)? {
         verify_shard_partition(&report.graph, &report.search, shards)?;
     }
@@ -416,7 +443,7 @@ fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
     let digest = write_store(Path::new(out), kg.graph(), kg.search_index())
         .map_err(|e| format!("write {out}: {e}"))?;
     eprintln!("wrote store {out}");
-    println!("kg-digest: {digest:016x}");
+    out!("kg-digest: {digest:016x}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -446,7 +473,7 @@ fn cmd_recover(args: &[String]) -> Result<ExitCode, String> {
         summary.stats.manifest_bytes,
     );
     for (seq, cycles, digest) in &summary.checkpoints {
-        println!("checkpoint {seq}: {cycles} cycle(s), digest {digest:016x}");
+        out!("checkpoint {seq}: {cycles} cycle(s), digest {digest:016x}");
     }
     eprintln!(
         "data: {} file(s), {} bytes on disk, {} bytes live",
@@ -465,7 +492,7 @@ fn cmd_recover(args: &[String]) -> Result<ExitCode, String> {
                     " (checksums verified)"
                 }
             );
-            println!("kg-digest: {digest:016x}");
+            out!("kg-digest: {digest:016x}");
             Ok(ExitCode::SUCCESS)
         }
         None => {
@@ -478,13 +505,13 @@ fn cmd_recover(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let (flags, _) = parse_flags(args);
     let kb = load_kg(&flags)?;
-    println!("kg-digest: {:016x}", kb.checkpoint.2);
-    println!("nodes: {}", kb.graph.node_count());
-    println!("edges: {}", kb.graph.edge_count());
-    println!("indexed documents: {}", kb.search.len());
-    println!("\nnodes by label:");
+    out!("kg-digest: {:016x}", kb.checkpoint.2);
+    out!("nodes: {}", kb.graph.node_count());
+    out!("edges: {}", kb.graph.edge_count());
+    out!("indexed documents: {}", kb.search.len());
+    out!("\nnodes by label:");
     for (label, count) in kb.graph.label_histogram() {
-        println!("  {label:<22} {count}");
+        out!("  {label:<22} {count}");
     }
     Ok(())
 }
@@ -499,13 +526,13 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     let snapshot = securitykg::serve::KgSnapshot::build(kb.graph, kb.search);
     let hits = snapshot.keyword_search(&query, 10);
     if hits.is_empty() {
-        println!("no results for {query:?}");
+        out!("no results for {query:?}");
         return Ok(());
     }
     let graph = snapshot.graph();
     for id in hits {
         let node = graph.node(id).unwrap();
-        println!(
+        out!(
             "[{}] {} (degree {})",
             node.label,
             node.name().unwrap_or("?"),
@@ -523,7 +550,7 @@ fn cmd_cypher(args: &[String]) -> Result<(), String> {
     }
     let query = positional.join(" ");
     let result = kb.graph.query_readonly(&query).map_err(|e| e.to_string())?;
-    println!("{}", result.columns.join(" | "));
+    out!("{}", result.columns.join(" | "));
     for row in &result.rows {
         let cells: Vec<String> = row
             .iter()
@@ -539,7 +566,7 @@ fn cmd_cypher(args: &[String]) -> Result<(), String> {
                 other => other.to_string(),
             })
             .collect();
-        println!("{}", cells.join(" | "));
+        out!("{}", cells.join(" | "));
     }
     eprintln!("-- {} row(s)", result.rows.len());
     Ok(())
@@ -682,18 +709,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if flags.contains_key("explain") {
         for query in &queries {
             let Query::Cypher { q } = query else { continue };
-            println!("{q}");
+            out!("{q}");
             match securitykg::graph::parse(q)
                 .and_then(|ast| securitykg::graph::CompiledPlan::compile(&ast))
             {
                 Ok(plan) => {
                     for line in plan.explain().lines() {
-                        println!("  {line}");
+                        out!("  {line}");
                     }
                 }
-                Err(e) => println!("  error: {e}"),
+                Err(e) => out!("  error: {e}"),
             }
-            println!();
+            out!("");
         }
         return Ok(());
     }
@@ -823,19 +850,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let stats = serve.stats();
     serve.record_cache_report();
     serve.record_plan_cache_report();
-    println!(
+    out!(
         "{} queries in {:.1} ms — {:.0} queries/s across {readers} reader(s)",
         total,
         wall_us as f64 / 1000.0,
         total as f64 / (wall_us as f64 / 1e6),
     );
-    println!(
+    out!(
         "latency p50 {} µs, p99 {} µs, max {} µs",
         percentile(&mut all, 0.50),
         percentile(&mut all, 0.99),
         percentile(&mut all, 1.0)
     );
-    println!(
+    out!(
         "cache: {} hits, {} misses, {} evictions, {} entries ({:.0}% hit rate)",
         stats.cache.hits,
         stats.cache.misses,
@@ -843,12 +870,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         stats.cache.entries,
         100.0 * stats.cache.hits as f64 / (stats.cache.hits + stats.cache.misses).max(1) as f64
     );
-    println!(
+    out!(
         "plan cache: {} hits, {} compiles, {} entries (plans survive epoch publishes)",
-        stats.plans.hits, stats.plans.compiles, stats.plans.entries
+        stats.plans.hits,
+        stats.plans.compiles,
+        stats.plans.entries
     );
     if !publish_us.is_empty() {
-        println!(
+        out!(
             "incremental publishes: {} × (freeze p50 {} µs, p99 {} µs) concurrent with readers",
             publish_us.len(),
             percentile(&mut publish_us, 0.50),
@@ -856,12 +885,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         );
     }
     if !watches.is_empty() {
-        println!("standing queries ({} subscriptions):", watches.len());
+        out!("standing queries ({} subscriptions):", watches.len());
         for (label, sub) in &watches {
             let s = sub.stats();
-            println!(
+            out!(
                 "  {label:<48} matched {:>5}, delivered {:>5}, dropped {:>3}, queued {:>4}",
-                s.matched, s.delivered, s.dropped, s.queued
+                s.matched,
+                s.delivered,
+                s.dropped,
+                s.queued
             );
         }
     }
@@ -948,25 +980,27 @@ fn serve_sharded(
     let wall_us = load.wall_us;
     let total = all.len() as u64;
     let stats = serve.stats();
-    println!(
+    out!(
         "{} scatter-gather queries in {:.1} ms — {:.0} queries/s across {readers} reader(s) × {shards} shard(s)",
         total,
         wall_us as f64 / 1000.0,
         total as f64 / (wall_us as f64 / 1e6),
     );
-    println!(
+    out!(
         "latency p50 {} µs, p99 {} µs, p999 {} µs, max {} µs",
         percentile(&mut all, 0.50),
         percentile(&mut all, 0.99),
         percentile(&mut all, 0.999),
         percentile(&mut all, 1.0)
     );
-    println!(
+    out!(
         "shard publishes {} (incl. {} initial), scatter-gather queries {}",
-        stats.publishes, shards, stats.queries
+        stats.publishes,
+        shards,
+        stats.queries
     );
     if !publish_us.is_empty() {
-        println!(
+        out!(
             "per-shard publishes: {} × (freeze p50 {} µs, p99 {} µs) concurrent with readers",
             publish_us.len(),
             percentile(&mut publish_us, 0.50),
@@ -977,7 +1011,7 @@ fn serve_sharded(
             .iter()
             .map(|p| format!("{}@v{}", p.shard(), p.version()))
             .collect();
-        println!("final shard stamps: [{}]", stamps.join(", "));
+        out!("final shard stamps: [{}]", stamps.join(", "));
     }
     Ok(())
 }
@@ -1072,15 +1106,18 @@ fn cmd_hunt(args: &[String]) -> Result<(), String> {
     let hunter = securitykg::hunting::Hunter::new(behaviors);
     let reports = hunter.scan(&log);
     if reports.is_empty() {
-        println!("no threats above the noise floor");
+        out!("no threats above the noise floor");
         return Ok(());
     }
-    println!(
+    out!(
         "{:<22} {:>6} {:>10} {:>14}",
-        "threat", "score", "coverage", "focus host"
+        "threat",
+        "score",
+        "coverage",
+        "focus host"
     );
     for r in reports.iter().take(10) {
-        println!(
+        out!(
             "{:<22} {:>5.2} {:>7}/{:<3} {:>14}",
             r.threat_name,
             r.score,

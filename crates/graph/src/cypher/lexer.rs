@@ -1,12 +1,14 @@
 //! Cypher tokenizer.
 
 use super::CypherError;
+use std::borrow::Cow;
 
-/// Lexical tokens.
+/// Lexical tokens. Identifiers, parameters and escape-free strings borrow
+/// the query text, so lexing and parsing copy only what the AST keeps.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
-    Ident(String),
-    Str(String),
+pub enum Tok<'a> {
+    Ident(&'a str),
+    Str(Cow<'a, str>),
     Int(i64),
     Float(f64),
     LParen,
@@ -29,13 +31,14 @@ pub enum Tok {
     Ge,
     Star,
     /// `$name` — a query parameter reference.
-    Param(String),
+    Param(&'a str),
 }
 
 /// Tokenize a query string. Identifiers keep their case; keyword matching is
 /// done case-insensitively by the parser.
-pub fn lex(text: &str) -> Result<Vec<Tok>, CypherError> {
-    let mut out = Vec::new();
+pub fn lex(text: &str) -> Result<Vec<Tok<'_>>, CypherError> {
+    // About one token per four bytes of query text, so one allocation.
+    let mut out = Vec::with_capacity(text.len() / 4 + 4);
     let bytes = text.as_bytes();
     let mut i = 0usize;
     while i < bytes.len() {
@@ -124,8 +127,10 @@ pub fn lex(text: &str) -> Result<Vec<Tok>, CypherError> {
             }
             '"' | '\'' => {
                 let quote = c;
-                let mut j = i + 1;
-                let mut s = String::new();
+                let start = i + 1;
+                let mut j = start;
+                // Unescaped text is only built once an escape shows up.
+                let mut owned: Option<String> = None;
                 loop {
                     if j >= bytes.len() {
                         return Err(CypherError::Lex("unterminated string".into()));
@@ -136,18 +141,25 @@ pub fn lex(text: &str) -> Result<Vec<Tok>, CypherError> {
                     }
                     if cj == '\\' && j + 1 < bytes.len() {
                         let esc = text[j + 1..].chars().next().unwrap();
-                        s.push(match esc {
-                            'n' => '\n',
-                            't' => '\t',
-                            other => other,
-                        });
+                        owned
+                            .get_or_insert_with(|| text[start..j].to_owned())
+                            .push(match esc {
+                                'n' => '\n',
+                                't' => '\t',
+                                other => other,
+                            });
                         j += 1 + esc.len_utf8();
                         continue;
                     }
-                    s.push(cj);
+                    if let Some(s) = &mut owned {
+                        s.push(cj);
+                    }
                     j += cj.len_utf8();
                 }
-                out.push(Tok::Str(s));
+                out.push(Tok::Str(match owned {
+                    Some(s) => Cow::Owned(s),
+                    None => Cow::Borrowed(&text[start..j]),
+                }));
                 i = j + 1;
             }
             c if c.is_ascii_digit() => {
@@ -180,7 +192,7 @@ pub fn lex(text: &str) -> Result<Vec<Tok>, CypherError> {
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                out.push(Tok::Ident(text[start..i].to_owned()));
+                out.push(Tok::Ident(&text[start..i]));
             }
             '$' => {
                 let start = i + 1;
@@ -191,7 +203,7 @@ pub fn lex(text: &str) -> Result<Vec<Tok>, CypherError> {
                 if i == start {
                     return Err(CypherError::Lex("expected parameter name after '$'".into()));
                 }
-                out.push(Tok::Param(text[start..i].to_owned()));
+                out.push(Tok::Param(&text[start..i]));
             }
             other => {
                 return Err(CypherError::Lex(format!("unexpected character {other:?}")));
@@ -211,18 +223,18 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Tok::Ident("match".into()),
+                Tok::Ident("match"),
                 Tok::LParen,
-                Tok::Ident("n".into()),
+                Tok::Ident("n"),
                 Tok::RParen,
-                Tok::Ident("where".into()),
-                Tok::Ident("n".into()),
+                Tok::Ident("where"),
+                Tok::Ident("n"),
                 Tok::Dot,
-                Tok::Ident("name".into()),
+                Tok::Ident("name"),
                 Tok::Eq,
                 Tok::Str("wannacry".into()),
-                Tok::Ident("return".into()),
-                Tok::Ident("n".into()),
+                Tok::Ident("return"),
+                Tok::Ident("n"),
             ]
         );
     }
@@ -254,10 +266,7 @@ mod tests {
     #[test]
     fn lexes_params() {
         let toks = lex("$who $x_1").unwrap();
-        assert_eq!(
-            toks,
-            vec![Tok::Param("who".into()), Tok::Param("x_1".into())]
-        );
+        assert_eq!(toks, vec![Tok::Param("who"), Tok::Param("x_1")]);
         assert!(lex("$").is_err());
         assert!(lex("$ name").is_err());
     }

@@ -45,14 +45,14 @@ pub fn parse_predicate(text: &str) -> Result<Expr, CypherError> {
     Ok(expr)
 }
 
-struct Parser {
-    toks: Vec<Tok>,
+struct Parser<'a> {
+    toks: Vec<Tok<'a>>,
     pos: usize,
     /// Current expression nesting depth (see [`MAX_EXPR_DEPTH`]).
     depth: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn expect_end(&self) -> Result<(), CypherError> {
         if self.pos != self.toks.len() {
             return Err(CypherError::Parse(format!(
@@ -78,11 +78,13 @@ impl Parser {
         self.depth -= 1;
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Tok> {
+    /// Consume one token. Tokens borrow the query text, so this copies no
+    /// string (except one a quoted escape had to unescape).
+    fn next(&mut self) -> Option<Tok<'a>> {
         let t = self.toks.get(self.pos).cloned();
         if t.is_some() {
             self.pos += 1;
@@ -90,7 +92,7 @@ impl Parser {
         t
     }
 
-    fn expect(&mut self, tok: &Tok) -> Result<(), CypherError> {
+    fn expect(&mut self, tok: &Tok<'_>) -> Result<(), CypherError> {
         match self.next() {
             Some(t) if &t == tok => Ok(()),
             other => Err(CypherError::Parse(format!(
@@ -115,7 +117,7 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String, CypherError> {
         match self.next() {
-            Some(Tok::Ident(s)) => Ok(s),
+            Some(Tok::Ident(s)) => Ok(s.to_owned()),
             other => Err(CypherError::Parse(format!(
                 "expected identifier, found {other:?}"
             ))),
@@ -354,7 +356,7 @@ impl Parser {
 
     fn literal(&mut self) -> Result<Value, CypherError> {
         match self.next() {
-            Some(Tok::Str(s)) => Ok(Value::Text(s)),
+            Some(Tok::Str(s)) => Ok(Value::Text(s.into_owned())),
             Some(Tok::Int(i)) => Ok(Value::Int(i)),
             Some(Tok::Float(f)) => Ok(Value::Float(f)),
             Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("true") => Ok(Value::Bool(true)),
@@ -451,7 +453,7 @@ impl Parser {
             }
             Some(Tok::Param(name)) => {
                 self.next();
-                Ok(Expr::Param(name))
+                Ok(Expr::Param(name.to_owned()))
             }
             Some(Tok::Ident(name)) => {
                 if name.eq_ignore_ascii_case("count") {
@@ -478,9 +480,9 @@ impl Parser {
                 if matches!(self.peek(), Some(Tok::Dot)) {
                     self.next();
                     let prop = self.ident()?;
-                    return Ok(Expr::Prop(name, prop));
+                    return Ok(Expr::Prop(name.to_owned(), prop));
                 }
-                Ok(Expr::Var(name))
+                Ok(Expr::Var(name.to_owned()))
             }
             other => Err(CypherError::Parse(format!(
                 "expected expression, found {other:?}"

@@ -13,8 +13,9 @@
 //!
 //! A plan runs through one pipeline whether one snapshot or N shards
 //! answer: [`CompiledPlan::scatter_on`] matches, filters and materializes
-//! the rows whose anchor a snapshot owns, and [`CompiledPlan::gather`]
-//! merges and projects them. [`CompiledPlan::execute_on`] is the unsharded
+//! the rows whose anchor a snapshot owns (summed into per-group partials
+//! when the plan aggregates), and [`CompiledPlan::gather`] merges and
+//! projects them. [`CompiledPlan::execute_on`] is the unsharded
 //! call — one scatter owning every anchor, then the gather.
 //!
 //! Correctness contract: for every query and every snapshot,
@@ -35,7 +36,7 @@ use super::{CmpOp, CypherError, Direction, Expr, NodePattern, Params, Query};
 use crate::snapshot::GraphSnapshot;
 use crate::store::{EdgeId, NodeId};
 use crate::value::Value;
-use std::collections::HashSet;
+use std::borrow::Cow;
 
 /// A variable binding in a dense slot row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +45,39 @@ enum CBinding {
     Edge(EdgeId),
 }
 
-/// One partial match: slot index → binding. `Vec` clone + index beats the
-/// interpreter's per-row `HashMap` on every hot path.
-type CRow = Vec<Option<CBinding>>;
+/// One partial match: slot index → binding. Matching binds and unbinds
+/// slots of one row buffer as it walks, instead of the interpreter's
+/// per-row `HashMap`.
+type CRow = [Option<CBinding>];
+
+/// The rows one scatter matched and kept, flattened into one buffer: row
+/// `i` is anchored at `anchors[i]` and binds
+/// `bindings[i * stride..(i + 1) * stride]`. A plan that reads no binding
+/// after WHERE (every RETURN item is `count(*)`) keeps none: stride 0.
+struct Rows {
+    stride: usize,
+    anchors: Vec<NodeId>,
+    bindings: Vec<Option<CBinding>>,
+}
+
+impl Rows {
+    fn push(&mut self, anchor: NodeId, row: &CRow) {
+        self.anchors.push(anchor);
+        self.bindings.extend_from_slice(&row[..self.stride]);
+    }
+
+    /// `(seq, anchor, row)` in generation order.
+    fn iter(&self) -> impl Iterator<Item = (u32, NodeId, &CRow)> {
+        // A zero-slot plan still has one (empty) row per anchor.
+        let rows =
+            (0..self.anchors.len()).map(|i| &self.bindings[i * self.stride..][..self.stride]);
+        self.anchors
+            .iter()
+            .zip(rows)
+            .enumerate()
+            .map(|(seq, (&anchor, row))| (seq as u32, anchor, row))
+    }
+}
 
 /// A literal or a parameter reference, resolved at bind time.
 #[derive(Debug, Clone)]
@@ -169,25 +200,31 @@ struct LiftedEq {
     prefix_has_aggregate: bool,
 }
 
-/// One materialized row produced by [`CompiledPlan::scatter_on`] on the
-/// snapshot (or shard) owning its anchor node. Values are evaluated
+/// What [`CompiledPlan::scatter_on`] produces on the snapshot (or shard)
+/// owning the anchors: one materialized row per match, or, for a plan
+/// with aggregates, one partial per group. Values are evaluated
 /// scatter-side (each shard holds a full replica, so property lookups
-/// resolve locally); [`CompiledPlan::gather`] re-orders by `(anchor, seq)`
-/// and runs the projection over the materialized values.
+/// resolve locally); [`CompiledPlan::gather`] re-orders by `(anchor, seq)`,
+/// merges partials and runs the projection over the materialized values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScatterRow {
     /// The first pattern's first-node binding — the row's routing anchor.
+    /// For a group partial, the anchor of the group's first row.
     pub anchor: NodeId,
     /// Per-scatter running row number; for a fixed anchor, local generation
-    /// order equals global generation order.
+    /// order equals global generation order. For a group partial, the
+    /// number of the group's first row.
     pub seq: u32,
-    /// Per RETURN item: the evaluated expression, except aggregates —
-    /// `count(expr)` stores the evaluated inner expression (so gather can
-    /// count non-NULLs) and `count(*)` stores a NULL placeholder.
+    /// Without aggregates: every RETURN item's value. With aggregates: the
+    /// group key, the values of the non-aggregate items in item order.
     pub items: Vec<Value>,
     /// The ORDER BY expression evaluated against the source row; only
     /// populated on the non-aggregate path, where ordering is per-row.
     pub order: Option<Value>,
+    /// Group partials only: per aggregate item in item order, how many of
+    /// the group's rows on this scatter it counts — every row for
+    /// `count(*)`, the non-NULL values for `count(expr)`.
+    pub counts: Vec<u64>,
 }
 
 /// A compiled, snapshot-independent query plan. See the module docs.
@@ -321,14 +358,16 @@ impl CompiledPlan {
         };
         let mut slots: Vec<String> = Vec::new();
         let mut params: Vec<String> = Vec::new();
-        let mut cpatterns: Vec<CPattern> = Vec::new();
-        let mut bound: HashSet<usize> = HashSet::new();
+        let mut cpatterns: Vec<CPattern> = Vec::with_capacity(patterns.len());
 
         for pattern in patterns {
+            // Only patterns create slots, and every slot an earlier pattern
+            // created is bound in every row that reaches this one.
+            let bound = slots.len();
             let anchor_np = &pattern.nodes[0];
             let anchor_slot = anchor_np.var.as_deref().map(|v| slot_of(&mut slots, v));
             let scan = match anchor_slot {
-                Some(s) if bound.contains(&s) => Scan::Bound(s),
+                Some(s) if s < bound => Scan::Bound(s),
                 _ => match &anchor_np.label {
                     Some(label) => match first_name_text(anchor_np) {
                         Some(name) => Scan::ByName {
@@ -367,12 +406,6 @@ impl CompiledPlan {
                         props: np.props.clone(),
                     },
                 });
-            }
-            // Everything this pattern names is bound in every surviving row.
-            bound.extend(anchor_slot);
-            for s in &steps {
-                bound.extend(s.edge_slot);
-                bound.extend(s.node.slot);
             }
             cpatterns.push(CPattern {
                 scan,
@@ -501,7 +534,8 @@ impl CompiledPlan {
     /// Shard-side half of a read: run the match/filter pipeline restricted
     /// to rows whose *anchor* — pattern 0's first-node candidate —
     /// satisfies `owns`, and materialize each surviving row's RETURN-item
-    /// and ORDER BY values.
+    /// and ORDER BY values — or, for a plan with aggregates, one partial
+    /// per group: its key, its first row's `(anchor, seq)` and its counts.
     ///
     /// Every row has exactly one anchor, so running this on each shard of a
     /// partition (with `owns` = that shard's ownership test) produces every
@@ -510,7 +544,8 @@ impl CompiledPlan {
     /// reused; the label, name and property indexes preserve creation
     /// order), and later patterns and path extensions run against the
     /// snapshot's full replica, so sorting the union by `(anchor, seq)`
-    /// reproduces the single-store row order exactly.
+    /// reproduces the single-store row order exactly, and a group's
+    /// smallest `(anchor, seq)` across shards is where it first appears.
     pub fn scatter_on<S: GraphSnapshot + ?Sized>(
         &self,
         snap: &S,
@@ -518,122 +553,167 @@ impl CompiledPlan {
         owns: &dyn Fn(NodeId) -> bool,
     ) -> Result<Vec<ScatterRow>, CypherError> {
         let ctx = self.bind(snap, params);
-        // Pattern 0: enumerate anchors, keep only owned ones. The anchor
-        // scan is never `Bound` (a first pattern's variable cannot be bound
-        // before any pattern ran).
-        let first = &self.patterns[0];
-        let mut anchored: Vec<(NodeId, CRow)> = Vec::new();
-        for start in self.static_candidates(&ctx, 0) {
+        // Every non-`Bound` scan is row-independent: enumerate it once. The
+        // first pattern's scan is never `Bound` (none of its variables can
+        // be bound before any pattern ran).
+        let statics: Vec<Vec<NodeId>> = (0..self.patterns.len())
+            .map(|pi| self.static_candidates(&ctx, pi))
+            .collect();
+        let counts_only = self.ret.items.iter().all(|i| matches!(i, CItem::CountStar));
+        let mut rows = Rows {
+            stride: if counts_only { 0 } else { self.slots.len() },
+            anchors: Vec::new(),
+            bindings: Vec::new(),
+        };
+        let mut row = vec![None; self.slots.len()];
+        let mut used_edges = Vec::new();
+        // Match depth-first, which yields rows in the order the
+        // pattern-at-a-time join does, and apply WHERE to each row as it
+        // completes: matching cannot fail, so the filter evaluations up to
+        // the first error are the oracle's.
+        let matcher = Matcher {
+            plan: self,
+            ctx: &ctx,
+            statics: &statics,
+        };
+        for &start in &statics[0] {
             if !owns(start) {
                 continue;
             }
-            let mut row: CRow = vec![None; self.slots.len()];
-            if let Some(slot) = first.anchor.slot {
-                row[slot] = Some(CBinding::Node(start));
-            }
-            let mut out = Vec::new();
-            self.extend(&ctx, first, 0, start, row, &mut Vec::new(), &mut out);
-            anchored.extend(out.into_iter().map(|r| (start, r)));
-        }
-        // Remaining patterns join against the full replica, anchor unchanged.
-        for pi in 1..self.patterns.len() {
-            let statics = match self.patterns[pi].scan {
-                Scan::Bound(_) => None,
-                _ => Some(self.static_candidates(&ctx, pi)),
-            };
-            let mut next = Vec::new();
-            for (anchor, row) in anchored {
-                let mut out = Vec::new();
-                self.expand_row(&ctx, pi, row, statics.as_deref(), &mut out);
-                next.extend(out.into_iter().map(|r| (anchor, r)));
-            }
-            anchored = next;
-        }
-        // WHERE.
-        if let Some(expr) = &self.filter {
-            let mut kept = Vec::with_capacity(anchored.len());
-            for (anchor, row) in anchored {
-                if self.eval(&ctx, &row, expr)?.truthy() {
-                    kept.push((anchor, row));
+            let mut leaf = |row: &CRow| -> Result<(), CypherError> {
+                if let Some(expr) = &self.filter {
+                    if !self.eval(&ctx, row, expr)?.truthy() {
+                        return Ok(());
+                    }
                 }
-            }
-            anchored = kept;
+                rows.push(start, row);
+                Ok(())
+            };
+            matcher.start_at(0, start, &mut row, &mut used_edges, &mut leaf)?;
         }
         // Materialize in the oracle's evaluation order, so the first error
         // raised is the one it raises: every row's projected items first,
         // then the per-row ORDER BY keys — or, with aggregates, the
-        // `count(expr)` inputs (`count(*)` keeps a NULL placeholder).
-        let mut out = Vec::with_capacity(anchored.len());
-        for (seq, (anchor, row)) in anchored.iter().enumerate() {
+        // `count(expr)` inputs.
+        if self.ret.has_aggregate {
+            return self.partials(&ctx, &rows);
+        }
+        let mut out = Vec::with_capacity(rows.anchors.len());
+        for (seq, anchor, row) in rows.iter() {
             let mut items = Vec::with_capacity(self.ret.items.len());
             for item in &self.ret.items {
-                items.push(match item {
-                    CItem::Value(expr) => self.eval(&ctx, row, expr)?,
-                    CItem::CountStar | CItem::Count(_) => Value::Null,
-                });
-            }
-            out.push(ScatterRow {
-                anchor: *anchor,
-                seq: seq as u32,
-                items,
-                order: None,
-            });
-        }
-        if self.ret.has_aggregate {
-            for (scattered, (_, row)) in out.iter_mut().zip(&anchored) {
-                for (value, item) in scattered.items.iter_mut().zip(&self.ret.items) {
-                    if let CItem::Count(inner) = item {
-                        *value = self.eval(&ctx, row, inner)?;
-                    }
+                if let CItem::Value(expr) = item {
+                    items.push(self.eval(&ctx, row, expr)?.into_owned());
                 }
             }
-        } else if let Some((expr, _)) = &self.ret.order_by {
-            for (scattered, (_, row)) in out.iter_mut().zip(&anchored) {
-                scattered.order = Some(self.eval(&ctx, row, expr)?);
+            out.push(ScatterRow {
+                anchor,
+                seq,
+                items,
+                order: None,
+                counts: Vec::new(),
+            });
+        }
+        if let Some((expr, _)) = &self.ret.order_by {
+            for (scattered, (_, _, row)) in out.iter_mut().zip(rows.iter()) {
+                scattered.order = Some(self.eval(&ctx, row, expr)?.into_owned());
             }
         }
         Ok(out)
     }
 
-    /// Gather-side half of a read: merge [`CompiledPlan::scatter_on`] rows
+    /// One partial per group of `rows`, in first-row order: the group key
+    /// from every row first, then the `count(expr)` inputs row by row.
+    fn partials<S: GraphSnapshot + ?Sized>(
+        &self,
+        ctx: &Ctx<'_, S>,
+        rows: &Rows,
+    ) -> Result<Vec<ScatterRow>, CypherError> {
+        let items = &self.ret.items;
+        let aggregates = items.iter().filter(|i| i.is_aggregate()).count();
+        let counts_exprs = items.iter().any(|i| matches!(i, CItem::Count(_)));
+        let mut groups: Vec<ScatterRow> = Vec::new();
+        let mut member = Vec::new();
+        let mut key = Vec::new();
+        for (seq, anchor, row) in rows.iter() {
+            key.clear();
+            for item in items {
+                if let CItem::Value(expr) = item {
+                    key.push(self.eval(ctx, row, expr)?.into_owned());
+                }
+            }
+            let group = match groups.iter().position(|g| g.items == key) {
+                Some(g) => g,
+                None => {
+                    groups.push(ScatterRow {
+                        anchor,
+                        seq,
+                        items: key.clone(),
+                        order: None,
+                        counts: vec![0; aggregates],
+                    });
+                    groups.len() - 1
+                }
+            };
+            let aggs = items.iter().filter(|i| i.is_aggregate());
+            for (count, item) in groups[group].counts.iter_mut().zip(aggs) {
+                if matches!(item, CItem::CountStar) {
+                    *count += 1;
+                }
+            }
+            if counts_exprs {
+                member.push(group);
+            }
+        }
+        for (&group, (_, _, row)) in member.iter().zip(rows.iter()) {
+            let aggs = items.iter().filter(|i| i.is_aggregate());
+            for (count, item) in groups[group].counts.iter_mut().zip(aggs) {
+                if let CItem::Count(inner) = item {
+                    if !matches!(*self.eval(ctx, row, inner)?, Value::Null) {
+                        *count += 1;
+                    }
+                }
+            }
+        }
+        Ok(groups)
+    }
+
+    /// Gather-side half of a read: merge [`CompiledPlan::scatter_on`] output
     /// (from one snapshot or from every shard) back into global row order
     /// and run the projection — implicit aggregate grouping, ORDER BY,
     /// DISTINCT, SKIP, LIMIT — over the materialized values. Needs no
     /// snapshot: every value was evaluated scatter-side.
     pub fn gather(&self, mut scatter: Vec<ScatterRow>) -> QueryResult {
         let ret = &self.ret;
-        scatter.sort_by(|a, b| a.anchor.cmp(&b.anchor).then(a.seq.cmp(&b.seq)));
         let mut out_rows: Vec<Vec<Value>> = if ret.has_aggregate {
-            // Implicit grouping by the non-aggregate items, first-seen order.
-            let mut groups: Vec<(Vec<Value>, Vec<&ScatterRow>)> = Vec::new();
-            for row in &scatter {
-                let key: Vec<Value> = ret
-                    .items
-                    .iter()
-                    .zip(&row.items)
-                    .filter(|(i, _)| !i.is_aggregate())
-                    .map(|(_, v)| v.clone())
-                    .collect();
-                match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, members)) => members.push(row),
-                    None => groups.push((key, vec![row])),
+            // Implicit grouping by the non-aggregate items: merge each
+            // group's partials, then order groups by their first row.
+            let mut groups: Vec<ScatterRow> = Vec::new();
+            for part in scatter {
+                match groups.iter_mut().find(|g| g.items == part.items) {
+                    Some(group) => {
+                        if (part.anchor, part.seq) < (group.anchor, group.seq) {
+                            (group.anchor, group.seq) = (part.anchor, part.seq);
+                        }
+                        for (total, count) in group.counts.iter_mut().zip(part.counts) {
+                            *total += count;
+                        }
+                    }
+                    None => groups.push(part),
                 }
             }
+            groups.sort_by_key(|g| (g.anchor, g.seq));
             let mut rows: Vec<Vec<Value>> = groups
                 .into_iter()
-                .map(|(key, members)| {
-                    let mut key = key.into_iter();
+                .map(|group| {
+                    let mut key = group.items.into_iter();
+                    let mut counts = group.counts.into_iter();
                     ret.items
                         .iter()
-                        .enumerate()
-                        .map(|(col, item)| match item {
-                            CItem::CountStar => Value::Int(members.len() as i64),
-                            CItem::Count(_) => Value::Int(
-                                members
-                                    .iter()
-                                    .filter(|m| !matches!(m.items[col], Value::Null))
-                                    .count() as i64,
-                            ),
+                        .map(|item| match item {
+                            CItem::CountStar | CItem::Count(_) => {
+                                Value::Int(counts.next().unwrap_or(0) as i64)
+                            }
                             CItem::Value(_) => key.next().unwrap_or(Value::Null),
                         })
                         .collect()
@@ -645,6 +725,7 @@ impl CompiledPlan {
             }
             rows
         } else {
+            scatter.sort_by_key(|r| (r.anchor, r.seq));
             if let Some((_, asc)) = &ret.order_by {
                 fn key(r: &ScatterRow) -> &Value {
                     r.order.as_ref().unwrap_or(&Value::Null)
@@ -654,15 +735,15 @@ impl CompiledPlan {
             scatter.into_iter().map(|r| r.items).collect()
         };
         if ret.distinct {
-            let mut seen: Vec<Vec<Value>> = Vec::new();
-            out_rows.retain(|row| {
-                if seen.contains(row) {
-                    false
-                } else {
-                    seen.push(row.clone());
-                    true
+            // Keep each row's first occurrence, in place.
+            let mut kept = 0;
+            for i in 0..out_rows.len() {
+                if !out_rows[..kept].contains(&out_rows[i]) {
+                    out_rows.swap(kept, i);
+                    kept += 1;
                 }
-            });
+            }
+            out_rows.truncate(kept);
         }
         out_rows.drain(..ret.skip.min(out_rows.len()));
         if let Some(limit) = ret.limit {
@@ -757,140 +838,184 @@ impl CompiledPlan {
         ctx.snap.nodes_with_prop_eq(&lifted.key, value)
     }
 
-    fn expand_row<S: GraphSnapshot + ?Sized>(
+    fn eval<'v, S: GraphSnapshot + ?Sized>(
+        &'v self,
+        ctx: &Ctx<'v, S>,
+        row: &CRow,
+        expr: &'v CExpr,
+    ) -> Result<Cow<'v, Value>, CypherError> {
+        eval_expr(ctx.snap, &ctx.resolved, &self.params, row, expr)
+    }
+}
+
+/// One scatter's depth-first matcher: extends a single row buffer through
+/// every pattern's path, binding slots on the way down and unbinding them
+/// on the way back, and hands each complete row to a leaf callback. The
+/// callback's error aborts the walk.
+struct Matcher<'p, 'c, S: ?Sized> {
+    plan: &'p CompiledPlan,
+    ctx: &'p Ctx<'c, S>,
+    /// Each pattern's row-independent candidates (empty for `Bound`).
+    statics: &'p [Vec<NodeId>],
+}
+
+impl<S: GraphSnapshot + ?Sized> Matcher<'_, '_, S> {
+    /// Match patterns `pi..` against `row`, whose earlier patterns are
+    /// bound; `used_edges` holds the path edges of those patterns.
+    fn patterns_from<F>(
         &self,
-        ctx: &Ctx<'_, S>,
         pi: usize,
-        row: CRow,
-        statics: Option<&[NodeId]>,
-        out: &mut Vec<CRow>,
-    ) {
-        let pat = &self.patterns[pi];
-        let bound_candidate = match pat.scan {
-            Scan::Bound(slot) => match row[slot] {
-                Some(CBinding::Node(id)) if cnode_matches(ctx.snap, id, &pat.anchor) => {
-                    Some(vec![id])
+        row: &mut CRow,
+        used_edges: &mut Vec<EdgeId>,
+        leaf: &mut F,
+    ) -> Result<(), CypherError>
+    where
+        F: FnMut(&CRow) -> Result<(), CypherError>,
+    {
+        let Some(pat) = self.plan.patterns.get(pi) else {
+            return leaf(row);
+        };
+        if let Scan::Bound(slot) = pat.scan {
+            return match row[slot] {
+                Some(CBinding::Node(id)) if cnode_matches(self.ctx.snap, id, &pat.anchor) => {
+                    self.start_at(pi, id, row, used_edges, leaf)
                 }
-                _ => Some(Vec::new()),
-            },
-            _ => None,
-        };
-        let candidates: &[NodeId] = match &bound_candidate {
-            Some(c) => c,
-            None => statics.unwrap_or(&[]),
-        };
-        for &start in candidates {
-            let mut row = row.clone();
-            if let Some(slot) = pat.anchor.slot {
-                row[slot] = Some(CBinding::Node(start));
-            }
-            self.extend(ctx, pat, 0, start, row, &mut Vec::new(), out);
+                _ => Ok(()),
+            };
         }
+        for &start in &self.statics[pi] {
+            self.start_at(pi, start, row, used_edges, leaf)?;
+        }
+        Ok(())
     }
 
-    /// Extend a partial path match from `pat.steps[step]` bound to `at` —
-    /// the compiled mirror of the interpreter's `extend`.
-    #[allow(clippy::too_many_arguments)]
-    fn extend<S: GraphSnapshot + ?Sized>(
+    /// Bind pattern `pi`'s anchor to `start` and extend its path; edge
+    /// uniqueness holds within one pattern, so the pattern's path edges
+    /// are those pushed above the current top of `used_edges`.
+    fn start_at<F>(
         &self,
-        ctx: &Ctx<'_, S>,
-        pat: &CPattern,
+        pi: usize,
+        start: NodeId,
+        row: &mut CRow,
+        used_edges: &mut Vec<EdgeId>,
+        leaf: &mut F,
+    ) -> Result<(), CypherError>
+    where
+        F: FnMut(&CRow) -> Result<(), CypherError>,
+    {
+        let slot = self.plan.patterns[pi].anchor.slot;
+        let saved = bind(row, slot, CBinding::Node(start));
+        let base = used_edges.len();
+        self.extend(pi, 0, start, row, used_edges, base, leaf)?;
+        unbind(row, slot, saved);
+        Ok(())
+    }
+
+    /// Extend a partial path match from `patterns[pi].steps[step]` bound to
+    /// `at` — the compiled mirror of the interpreter's `extend`.
+    #[allow(clippy::too_many_arguments)]
+    fn extend<F>(
+        &self,
+        pi: usize,
         step: usize,
         at: NodeId,
-        row: CRow,
+        row: &mut CRow,
         used_edges: &mut Vec<EdgeId>,
-        out: &mut Vec<CRow>,
-    ) {
-        if step == pat.steps.len() {
-            out.push(row);
-            return;
-        }
-        let s = &pat.steps[step];
+        base: usize,
+        leaf: &mut F,
+    ) -> Result<(), CypherError>
+    where
+        F: FnMut(&CRow) -> Result<(), CypherError>,
+    {
+        let pat = &self.plan.patterns[pi];
+        let Some(s) = pat.steps.get(step) else {
+            return self.patterns_from(pi + 1, row, used_edges, leaf);
+        };
+        let snap = self.ctx.snap;
 
         if let Some((lo, hi)) = s.hops {
-            for other in var_length_endpoints(ctx.snap, at, s, lo, hi) {
-                if let Some(slot) = s.node.slot {
-                    match row[slot] {
-                        Some(CBinding::Node(bound)) if bound != other => continue,
-                        Some(CBinding::Edge(_)) => continue,
-                        _ => {}
-                    }
-                }
-                if !cnode_matches(ctx.snap, other, &s.node) {
+            for other in var_length_endpoints(snap, at, s, lo, hi) {
+                if !node_slot_admits(row, s.node.slot, other)
+                    || !cnode_matches(snap, other, &s.node)
+                {
                     continue;
                 }
-                let mut next_row = row.clone();
-                if let Some(slot) = s.node.slot {
-                    next_row[slot] = Some(CBinding::Node(other));
-                }
-                self.extend(ctx, pat, step + 1, other, next_row, used_edges, out);
+                let saved = bind(row, s.node.slot, CBinding::Node(other));
+                self.extend(pi, step + 1, other, row, used_edges, base, leaf)?;
+                unbind(row, s.node.slot, saved);
             }
-            return;
+            return Ok(());
         }
 
-        let try_edge =
-            |edge_id: EdgeId, other: NodeId, used_edges: &mut Vec<EdgeId>, out: &mut Vec<CRow>| {
-                if used_edges.contains(&edge_id) {
-                    return;
+        let mut try_edge = |edge_id: EdgeId,
+                            other: NodeId,
+                            row: &mut CRow,
+                            used_edges: &mut Vec<EdgeId>|
+         -> Result<(), CypherError> {
+            if used_edges[base..].contains(&edge_id) {
+                return Ok(());
+            }
+            if let Some(slot) = s.edge_slot {
+                if row[slot].is_some_and(|existing| existing != CBinding::Edge(edge_id)) {
+                    return Ok(());
                 }
-                if let Some(slot) = s.edge_slot {
-                    if let Some(existing) = row[slot] {
-                        if existing != CBinding::Edge(edge_id) {
-                            return;
-                        }
-                    }
-                }
-                if let Some(slot) = s.node.slot {
-                    match row[slot] {
-                        Some(CBinding::Node(bound)) if bound != other => return,
-                        Some(CBinding::Edge(_)) => return,
-                        _ => {}
-                    }
-                }
-                if !cnode_matches(ctx.snap, other, &s.node) {
-                    return;
-                }
-                let mut next_row = row.clone();
-                if let Some(slot) = s.edge_slot {
-                    next_row[slot] = Some(CBinding::Edge(edge_id));
-                }
-                if let Some(slot) = s.node.slot {
-                    next_row[slot] = Some(CBinding::Node(other));
-                }
-                used_edges.push(edge_id);
-                self.extend(ctx, pat, step + 1, other, next_row, used_edges, out);
-                used_edges.pop();
-            };
+            }
+            if !node_slot_admits(row, s.node.slot, other) || !cnode_matches(snap, other, &s.node) {
+                return Ok(());
+            }
+            let saved_edge = bind(row, s.edge_slot, CBinding::Edge(edge_id));
+            let saved_node = bind(row, s.node.slot, CBinding::Node(other));
+            used_edges.push(edge_id);
+            self.extend(pi, step + 1, other, row, used_edges, base, leaf)?;
+            used_edges.pop();
+            unbind(row, s.node.slot, saved_node);
+            unbind(row, s.edge_slot, saved_edge);
+            Ok(())
+        };
 
         if matches!(s.direction, Direction::Out | Direction::Either) {
-            for &eid in ctx.snap.out_edge_ids(at) {
-                let Some(edge) = ctx.snap.edge(eid) else {
+            for &eid in snap.out_edge_ids(at) {
+                let Some(edge) = snap.edge(eid) else {
                     continue;
                 };
                 if type_matches(s.rel_type.as_deref(), &edge.rel_type) {
-                    try_edge(eid, edge.to, used_edges, out);
+                    try_edge(eid, edge.to, row, used_edges)?;
                 }
             }
         }
         if matches!(s.direction, Direction::In | Direction::Either) {
-            for &eid in ctx.snap.in_edge_ids(at) {
-                let Some(edge) = ctx.snap.edge(eid) else {
+            for &eid in snap.in_edge_ids(at) {
+                let Some(edge) = snap.edge(eid) else {
                     continue;
                 };
                 if type_matches(s.rel_type.as_deref(), &edge.rel_type) {
-                    try_edge(eid, edge.from, used_edges, out);
+                    try_edge(eid, edge.from, row, used_edges)?;
                 }
             }
         }
+        Ok(())
     }
+}
 
-    fn eval<S: GraphSnapshot + ?Sized>(
-        &self,
-        ctx: &Ctx<'_, S>,
-        row: &CRow,
-        expr: &CExpr,
-    ) -> Result<Value, CypherError> {
-        eval_expr(ctx.snap, &ctx.resolved, &self.params, row, expr)
+/// Whether a path node `other` may bind the step's node slot: the slot is
+/// free or already bound to `other`.
+fn node_slot_admits(row: &CRow, slot: Option<usize>, other: NodeId) -> bool {
+    match slot.map(|slot| row[slot]) {
+        Some(Some(CBinding::Node(bound))) => bound == other,
+        Some(Some(CBinding::Edge(_))) => false,
+        _ => true,
+    }
+}
+
+/// Bind `slot` (if any) to `binding`, returning the binding it replaced.
+fn bind(row: &mut CRow, slot: Option<usize>, binding: CBinding) -> Option<Option<CBinding>> {
+    slot.map(|slot| row[slot].replace(binding))
+}
+
+/// Undo [`bind`].
+fn unbind(row: &mut CRow, slot: Option<usize>, saved: Option<Option<CBinding>>) {
+    if let (Some(slot), Some(saved)) = (slot, saved) {
+        row[slot] = saved;
     }
 }
 
@@ -906,18 +1031,21 @@ fn directed(o: std::cmp::Ordering, asc: bool) -> std::cmp::Ordering {
 /// Compiled-expression evaluation over a slot row — shared by plan
 /// execution and [`CompiledNodePredicate`]. `resolved` are the bind-time
 /// parameter lookups (indexed by [`CExpr::Param`]), `names` the parameter
-/// names for Bind error messages.
-fn eval_expr<S: GraphSnapshot + ?Sized>(
-    snap: &S,
-    resolved: &[Option<&Value>],
+/// names for Bind error messages. Literals, parameters and properties are
+/// borrowed, so a comparison copies no value.
+fn eval_expr<'v, S: GraphSnapshot + ?Sized>(
+    snap: &'v S,
+    resolved: &[Option<&'v Value>],
     names: &[String],
     row: &CRow,
-    expr: &CExpr,
-) -> Result<Value, CypherError> {
+    expr: &'v CExpr,
+) -> Result<Cow<'v, Value>, CypherError> {
+    let eval = |e: &'v CExpr| eval_expr(snap, resolved, names, row, e);
+    let truthy = |e: &'v CExpr| eval(e).map(|v| v.truthy());
     Ok(match expr {
-        CExpr::Lit(v) => v.clone(),
+        CExpr::Lit(v) => Cow::Borrowed(v),
         CExpr::Param(i) => match resolved[*i] {
-            Some(v) => v.clone(),
+            Some(v) => Cow::Borrowed(v),
             None => {
                 return Err(CypherError::Bind(format!(
                     "unbound parameter ${}",
@@ -925,30 +1053,24 @@ fn eval_expr<S: GraphSnapshot + ?Sized>(
                 )))
             }
         },
-        CExpr::Var(slot) => match row[*slot] {
+        CExpr::Var(slot) => Cow::Owned(match row[*slot] {
             Some(CBinding::Node(id)) => Value::Node(id),
             Some(CBinding::Edge(id)) => Value::Edge(id),
             None => Value::Null,
-        },
-        CExpr::UnboundVar | CExpr::UnboundProp => Value::Null,
-        CExpr::Prop(slot, key) => match row[*slot] {
-            Some(CBinding::Node(id)) => snap
-                .node(id)
-                .and_then(|n| n.props.get(key))
-                .cloned()
-                .unwrap_or(Value::Null),
-            Some(CBinding::Edge(id)) => snap
-                .edge(id)
-                .and_then(|e| e.props.get(key))
-                .cloned()
-                .unwrap_or(Value::Null),
-            None => Value::Null,
-        },
+        }),
+        CExpr::UnboundVar | CExpr::UnboundProp => Cow::Owned(Value::Null),
+        CExpr::Prop(slot, key) => {
+            let found = match row[*slot] {
+                Some(CBinding::Node(id)) => snap.node(id).and_then(|n| n.props.get(key)),
+                Some(CBinding::Edge(id)) => snap.edge(id).and_then(|e| e.props.get(key)),
+                None => None,
+            };
+            found.map_or(Cow::Owned(Value::Null), Cow::Borrowed)
+        }
         CExpr::Compare(l, op, r) => {
-            let a = eval_expr(snap, resolved, names, row, l)?;
-            let b = eval_expr(snap, resolved, names, row, r)?;
-            if matches!(a, Value::Null) || matches!(b, Value::Null) {
-                return Ok(Value::Null);
+            let (a, b) = (eval(l)?, eval(r)?);
+            if matches!(*a, Value::Null) || matches!(*b, Value::Null) {
+                return Ok(Cow::Owned(Value::Null));
             }
             let result = match op {
                 CmpOp::Eq => a.eq_cypher(&b),
@@ -958,43 +1080,28 @@ fn eval_expr<S: GraphSnapshot + ?Sized>(
                 CmpOp::Gt => a.cmp_order(&b) == std::cmp::Ordering::Greater,
                 CmpOp::Ge => a.cmp_order(&b) != std::cmp::Ordering::Less,
             };
-            Value::Bool(result)
+            Cow::Owned(Value::Bool(result))
         }
-        CExpr::And(l, r) => Value::Bool(
-            eval_expr(snap, resolved, names, row, l)?.truthy()
-                && eval_expr(snap, resolved, names, row, r)?.truthy(),
-        ),
-        CExpr::Or(l, r) => Value::Bool(
-            eval_expr(snap, resolved, names, row, l)?.truthy()
-                || eval_expr(snap, resolved, names, row, r)?.truthy(),
-        ),
-        CExpr::Not(e) => Value::Bool(!eval_expr(snap, resolved, names, row, e)?.truthy()),
-        CExpr::Contains(l, r) => string_op(snap, resolved, names, row, l, r, |a, b| a.contains(b))?,
-        CExpr::StartsWith(l, r) => {
-            string_op(snap, resolved, names, row, l, r, |a, b| a.starts_with(b))?
-        }
-        CExpr::EndsWith(l, r) => {
-            string_op(snap, resolved, names, row, l, r, |a, b| a.ends_with(b))?
-        }
+        CExpr::And(l, r) => Cow::Owned(Value::Bool(truthy(l)? && truthy(r)?)),
+        CExpr::Or(l, r) => Cow::Owned(Value::Bool(truthy(l)? || truthy(r)?)),
+        CExpr::Not(e) => Cow::Owned(Value::Bool(!truthy(e)?)),
+        CExpr::Contains(l, r) => string_op(eval(l)?, eval(r)?, |a, b| a.contains(b)),
+        CExpr::StartsWith(l, r) => string_op(eval(l)?, eval(r)?, |a, b| a.starts_with(b)),
+        CExpr::EndsWith(l, r) => string_op(eval(l)?, eval(r)?, |a, b| a.ends_with(b)),
         CExpr::Aggregate => return Err(CypherError::Exec("aggregate outside RETURN".into())),
     })
 }
 
-fn string_op<S: GraphSnapshot + ?Sized>(
-    snap: &S,
-    resolved: &[Option<&Value>],
-    names: &[String],
-    row: &CRow,
-    l: &CExpr,
-    r: &CExpr,
+/// `f` over two text operands; NULL unless both are text.
+fn string_op<'v>(
+    a: Cow<'_, Value>,
+    b: Cow<'_, Value>,
     f: impl Fn(&str, &str) -> bool,
-) -> Result<Value, CypherError> {
-    let a = eval_expr(snap, resolved, names, row, l)?;
-    let b = eval_expr(snap, resolved, names, row, r)?;
-    match (a.as_text(), b.as_text()) {
-        (Some(x), Some(y)) => Ok(Value::Bool(f(x, y))),
-        _ => Ok(Value::Null),
-    }
+) -> Cow<'v, Value> {
+    Cow::Owned(match (a.as_text(), b.as_text()) {
+        (Some(x), Some(y)) => Value::Bool(f(x, y)),
+        _ => Value::Null,
+    })
 }
 
 /// A `WHERE`-style predicate over a single node variable, compiled to the
@@ -1023,7 +1130,7 @@ impl CompiledNodePredicate {
     /// aggregates) are non-matches, exactly like the interpreted path.
     pub fn matches<S: GraphSnapshot + ?Sized>(&self, snap: &S, id: NodeId) -> bool {
         let resolved: Vec<Option<&Value>> = vec![None; self.params.len()];
-        let row: CRow = vec![Some(CBinding::Node(id))];
+        let row = [Some(CBinding::Node(id))];
         eval_expr(snap, &resolved, &self.params, &row, &self.expr)
             .map(|v| v.truthy())
             .unwrap_or(false)
@@ -1062,7 +1169,8 @@ fn cnode_matches<S: GraphSnapshot + ?Sized>(snap: &S, id: NodeId, cn: &CNode) ->
 /// level-set walk, same ascending-id result order, but untyped undirected
 /// steps ride a snapshot's frozen k-hop adjacency when it offers one (the
 /// adjacency table *is* the deduplicated undirected neighbor set, so the
-/// per-level frontier is identical either way).
+/// per-level frontier is identical either way). Level sets are sorted,
+/// deduplicated vectors.
 fn var_length_endpoints<S: GraphSnapshot + ?Sized>(
     snap: &S,
     at: NodeId,
@@ -1071,15 +1179,15 @@ fn var_length_endpoints<S: GraphSnapshot + ?Sized>(
     hi: usize,
 ) -> Vec<NodeId> {
     let untyped_undirected = s.rel_type.is_none() && s.direction == Direction::Either;
-    let mut result: HashSet<NodeId> = HashSet::new();
-    let mut frontier: HashSet<NodeId> = HashSet::new();
-    frontier.insert(at);
+    let mut result: Vec<NodeId> = Vec::new();
+    let mut frontier: Vec<NodeId> = vec![at];
+    let mut next: Vec<NodeId> = Vec::new();
     for level in 1..=hi {
-        let mut next: HashSet<NodeId> = HashSet::new();
+        next.clear();
         for &node in &frontier {
             if untyped_undirected {
                 if let Some(adj) = snap.khop_adjacency(node) {
-                    next.extend(adj.iter().copied());
+                    next.extend_from_slice(adj);
                     continue;
                 }
             }
@@ -1087,7 +1195,7 @@ fn var_length_endpoints<S: GraphSnapshot + ?Sized>(
                 for &eid in snap.out_edge_ids(node) {
                     let Some(edge) = snap.edge(eid) else { continue };
                     if type_matches(s.rel_type.as_deref(), &edge.rel_type) {
-                        next.insert(edge.to);
+                        next.push(edge.to);
                     }
                 }
             }
@@ -1095,22 +1203,24 @@ fn var_length_endpoints<S: GraphSnapshot + ?Sized>(
                 for &eid in snap.in_edge_ids(node) {
                     let Some(edge) = snap.edge(eid) else { continue };
                     if type_matches(s.rel_type.as_deref(), &edge.rel_type) {
-                        next.insert(edge.from);
+                        next.push(edge.from);
                     }
                 }
             }
         }
+        next.sort_unstable();
+        next.dedup();
         if level >= lo {
-            result.extend(next.iter().copied());
+            result.extend_from_slice(&next);
         }
-        frontier = next;
-        if frontier.is_empty() {
+        if next.is_empty() {
             break;
         }
+        std::mem::swap(&mut frontier, &mut next);
     }
-    let mut out: Vec<NodeId> = result.into_iter().collect();
-    out.sort();
-    out
+    result.sort_unstable();
+    result.dedup();
+    result
 }
 
 /// Find the first `WHERE` conjunct of the form `anchor.key = <text literal>`
@@ -1300,5 +1410,247 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Run `text` through the interpreter and through the scatter of every
+    /// residue partition of 1–4 "shards" plus the gather; both must agree
+    /// on the rows or on the rendered error.
+    fn check_partitions<S: GraphSnapshot + ?Sized>(
+        snap: &S,
+        g: &GraphStore,
+        text: &str,
+        params: &Params,
+    ) {
+        let query = parse(text).unwrap();
+        let oracle = super::super::exec::execute_read_with_params(g, &query, params);
+        let plan = CompiledPlan::compile(&query).unwrap();
+        for shards in 1u64..=4 {
+            let mut rows = Vec::new();
+            let mut failed = None;
+            for shard in 0..shards {
+                let owns = |id: NodeId| id.0 % shards == shard;
+                match plan.scatter_on(snap, params, &owns) {
+                    Ok(part) => rows.extend(part),
+                    Err(e) => failed = failed.or(Some(e)),
+                }
+            }
+            match (&oracle, failed) {
+                (Ok(want), None) => {
+                    let got = plan.gather(rows);
+                    assert_eq!(want.columns, got.columns, "{text}");
+                    assert_eq!(want.rows, got.rows, "{text} at {shards} shards");
+                }
+                (Err(want), Some(got)) => assert_eq!(want, &got, "{text} at {shards} shards"),
+                (want, got) => panic!("{text} at {shards} shards: {want:?} vs {got:?}"),
+            }
+        }
+    }
+
+    /// Nodes with a `kind` to group by and a `score` that is NULL on some.
+    fn scored_store() -> GraphStore {
+        let mut g = demo_store();
+        for (i, node) in g
+            .all_nodes()
+            .map(|n| n.id)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .enumerate()
+        {
+            g.set_node_prop(node, "kind", Value::from(["a", "b", "c"][i % 3]))
+                .unwrap();
+            if i % 2 == 0 {
+                g.set_node_prop(node, "score", Value::Int(i as i64))
+                    .unwrap();
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn group_partials_merge_to_the_oracle_at_every_shard_count() {
+        let g = scored_store();
+        let mut early = Params::new();
+        early.insert("early".into(), Value::Int(1));
+        for text in [
+            "MATCH (n:Nope) RETURN count(*)",
+            "MATCH (n:Nope) RETURN n.kind, count(n)",
+            "MATCH (n) RETURN count(*)",
+            "MATCH (n) RETURN count(n.score), count(*)",
+            "MATCH (n) RETURN n.kind, count(n.score) ORDER BY count(n.score) DESC",
+            "MATCH (n) RETURN n.kind, count(*) AS c ORDER BY n.kind",
+            "MATCH (n)-[]-(m) RETURN m.kind, count(*), count(m.score) ORDER BY m.kind DESC",
+            "MATCH (n)-[]-(m) RETURN DISTINCT count(*)",
+            "MATCH (n)-[]-(m) RETURN DISTINCT m.kind, count(n.score)",
+            "MATCH (a)-[]->(b) RETURN a.name, count(*) ORDER BY a.name SKIP 1 LIMIT 2",
+            "MATCH (a)-[]->(b) RETURN b.kind, count(a) SKIP 1",
+            "MATCH (a)-[*1..2]-(b) WHERE b.score > 0 RETURN count(*)",
+            "MATCH (n) WHERE n.score > $late RETURN count(*)",
+            "MATCH (n) RETURN count($late), $early",
+            "MATCH (n) RETURN $early, count($late)",
+            "MATCH (n:Nope) RETURN count($late), $early",
+        ] {
+            check_partitions(&g, &g, text, &Params::new());
+            check_partitions(&g, &g, text, &early);
+        }
+    }
+
+    /// A store with a frozen undirected adjacency table, like a serving
+    /// snapshot's, so var-length steps take the table path.
+    struct WithAdjacency<'a> {
+        g: &'a GraphStore,
+        adjacency: std::collections::HashMap<NodeId, Vec<NodeId>>,
+    }
+
+    impl GraphSnapshot for WithAdjacency<'_> {
+        fn node(&self, id: NodeId) -> Option<&crate::store::Node> {
+            self.g.node(id)
+        }
+        fn edge(&self, id: EdgeId) -> Option<&crate::store::Edge> {
+            self.g.edge(id)
+        }
+        fn out_edge_ids(&self, id: NodeId) -> &[EdgeId] {
+            self.g.out_edge_ids(id)
+        }
+        fn in_edge_ids(&self, id: NodeId) -> &[EdgeId] {
+            self.g.in_edge_ids(id)
+        }
+        fn nodes_with_label(&self, label: &str) -> Vec<NodeId> {
+            self.g.nodes_with_label(label)
+        }
+        fn node_by_name(&self, label: &str, name: &str) -> Option<NodeId> {
+            self.g.node_by_name(label, name)
+        }
+        fn all_node_ids(&self) -> Vec<NodeId> {
+            self.g.all_nodes().map(|n| n.id).collect()
+        }
+        fn nodes_with_prop_eq(&self, key: &str, value: &Value) -> Option<Vec<NodeId>> {
+            self.g.nodes_with_prop_eq(key, value)
+        }
+        fn khop_adjacency(&self, id: NodeId) -> Option<&[NodeId]> {
+            self.adjacency.get(&id).map(Vec::as_slice)
+        }
+    }
+
+    #[test]
+    fn var_length_endpoints_with_cycles_match_the_oracle() {
+        // a → b → c → a, a ⇄ d, c → c, plus a dangling e and a parallel
+        // a → b edge: walks revisit the anchor and repeat endpoints.
+        let mut g = GraphStore::new();
+        let ids: Vec<NodeId> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|n| g.create_node("L", [("name", Value::from(*n))]))
+            .collect();
+        let none = || [] as [(&str, Value); 0];
+        for (from, rel, to) in [
+            (0, "R", 1),
+            (1, "R", 2),
+            (2, "R", 0),
+            (0, "S", 3),
+            (3, "S", 0),
+            (2, "R", 2),
+            (0, "S", 1),
+        ] {
+            g.create_edge(ids[from], rel, ids[to], none()).unwrap();
+        }
+        let snap = WithAdjacency {
+            g: &g,
+            adjacency: g.all_nodes().map(|n| (n.id, g.neighbors(n.id))).collect(),
+        };
+        for text in [
+            "MATCH (n:L {name: 'a'})-[*1..2]-(m) RETURN count(*)",
+            "MATCH (n:L {name: 'a'})-[*1..3]-(m) RETURN m.name",
+            "MATCH (n:L {name: 'a'})-[*2..2]-(m) RETURN m.name ORDER BY m.name",
+            "MATCH (n:L {name: 'a'})-[*1..4]->(m) RETURN m.name",
+            "MATCH (n:L {name: 'a'})<-[*1..3]-(m) RETURN m.name",
+            "MATCH (n:L {name: 'c'})-[:R*1..3]->(m) RETURN m.name",
+            "MATCH (n)-[*1..2]-(n) RETURN n.name",
+            "MATCH (n)-[:S*2..2]-(m) RETURN n.name, m.name",
+            "MATCH (n:L {name: 'e'})-[*1..3]-(m) RETURN count(*)",
+            "MATCH (n)-[*1..2]-(m) RETURN m.name, count(*) ORDER BY m.name",
+        ] {
+            check_partitions(&g, &g, text, &Params::new());
+            check_partitions(&snap, &g, text, &Params::new());
+        }
+    }
+
+    #[test]
+    fn the_property_index_is_seeded_once_across_clones() {
+        let g = demo_store();
+        let (left, right) = (g.clone(), g.clone());
+        for text in [
+            "MATCH (n) WHERE n.name = 'emotet' RETURN n.name",
+            "MATCH (n:Technique {name: 'keylogging'})<-[]-(m) RETURN m.name",
+        ] {
+            check_partitions(&left, &g, text, &Params::new());
+            check_partitions(&right, &g, text, &Params::new());
+        }
+        assert_eq!(
+            (
+                g.prop_index_seeds(),
+                left.prop_index_seeds(),
+                right.prop_index_seeds()
+            ),
+            (1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn a_writer_mutation_after_a_freeze_leaves_the_frozen_index_alone() {
+        let text = "MATCH (n) WHERE n.name = 'emotet' RETURN n.name, n.kind";
+        for seed_first in [false, true] {
+            let mut g = demo_store();
+            if seed_first {
+                g.nodes_with_prop_eq("name", &Value::from("x")).unwrap();
+            }
+            let frozen = g.clone();
+            // A reader of the frozen clone seeds the index it shares with
+            // the writer; the writer's next mutation copies none of it.
+            check_partitions(&frozen, &frozen, text, &Params::new());
+            let emotet = g.node_by_name("Malware", "emotet").unwrap();
+            g.set_node_prop(emotet, "kind", Value::from("loader"))
+                .unwrap();
+            assert_eq!(g.prop_index_seeds(), 0, "seeded first: {seed_first}");
+            g.create_node("Malware", [("name", Value::from("emotet"))]);
+            let wannacry = g.node_by_name("Malware", "wannacry").unwrap();
+            g.set_node_prop(wannacry, "name", Value::from("emotet"))
+                .unwrap();
+            check_partitions(&g, &g, text, &Params::new());
+            check_partitions(&frozen, &frozen, text, &Params::new());
+            assert_eq!(frozen.prop_index_seeds(), 1, "seeded first: {seed_first}");
+            assert_eq!(g.prop_index_seeds(), 1, "seeded first: {seed_first}");
+            assert_eq!(
+                frozen.nodes_with_prop_eq("name", &Value::from("emotet")),
+                Some(vec![emotet])
+            );
+        }
+    }
+
+    #[test]
+    fn colliding_property_buckets_still_return_exact_rows() {
+        let mut g = scored_store();
+        g.collide_prop_index();
+        // Every node with a text property shares the one bucket.
+        let all: Vec<NodeId> = g.all_nodes().map(|n| n.id).collect();
+        assert_eq!(
+            g.nodes_with_prop_eq("name", &Value::from("nobody")),
+            Some(all)
+        );
+        let mut who = Params::new();
+        who.insert("who".into(), Value::from("keylogging"));
+        for text in [
+            "MATCH (n) WHERE n.name = 'emotet' RETURN n.name",
+            "MATCH (n) WHERE n.kind = 'b' RETURN n.name ORDER BY n.name",
+            "MATCH (n) WHERE n.name = $who RETURN n.name",
+            "MATCH (n:Technique {kind: 'a'}) RETURN n.name",
+            "MATCH (n {name: 'nobody'}) RETURN count(*)",
+        ] {
+            check_partitions(&g, &g, text, &who);
+        }
+        // Repairs after writes stay exact under collisions too.
+        let emotet = g.node_by_name("Malware", "emotet").unwrap();
+        g.set_node_prop(emotet, "kind", Value::from("b")).unwrap();
+        g.delete_node(emotet).unwrap();
+        check_partitions(&g, &g, "MATCH (n) WHERE n.kind = 'b' RETURN n.name", &who);
+        assert_eq!(g.prop_index_seeds(), 1);
     }
 }

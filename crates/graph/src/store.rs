@@ -14,7 +14,11 @@
 //!   segments of [`SEG_CAP`] slots. `Clone` bumps one refcount per segment;
 //!   only segments the writer touches afterwards are deep-copied
 //!   (`Arc::make_mut`), so freezing a snapshot of an N-element graph copies
-//!   O(delta) elements, not O(N).
+//!   O(delta) elements, not O(N). The property index is shared whole:
+//!   clones of one graph version read one index, and the writer's next
+//!   node mutation detaches to a fresh, unseeded one. The label, name and
+//!   edge indexes, the touched sets and the delta log are still copied by
+//!   every clone.
 //! - **Change tracking**: every mutation records the touched node/edge id
 //!   (edges with their endpoints, captured at touch time because a deleted
 //!   edge can no longer be looked up). The accumulated touched-set is sealed
@@ -27,10 +31,13 @@
 
 use crate::value::Value;
 use kg_ir::{fnv1a64_pinned, fnv1a64_pinned_extend, splitmix64};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Composite `(label, name)` index key: `label`, NUL, `name`. Labels never
@@ -421,81 +428,153 @@ impl DeltaLog {
     }
 }
 
-/// Key for the equality property index: `prop\0text-value` (property names
-/// cannot contain NUL, same trick as [`name_key`]).
-fn prop_key(key: &str, text: &str) -> String {
-    let mut s = String::with_capacity(key.len() + 1 + text.len());
-    s.push_str(key);
-    s.push('\0');
-    s.push_str(text);
-    s
+/// How a `(key, text)` property picks its bucket: SipHash under keys drawn
+/// per index, so values crafted to collide cannot pile into one bucket.
+#[derive(Debug, Clone)]
+struct PropHash {
+    keys: RandomState,
+    /// The hash function (tests substitute a colliding one).
+    hash: fn(&RandomState, &str, &str) -> u64,
 }
 
-/// The equality index over `Text`-valued node properties, repaired lazily:
-/// mutators mark nodes stale (cheap), and the first indexed read after a
-/// batch of writes re-derives just those nodes' entries. Restricted to
-/// `Text` because text equality has no cross-type coercion partner under
-/// `eq_cypher` (`Int`/`Float` coerce into each other, so an exact-value
-/// index would miss matches).
+impl Default for PropHash {
+    fn default() -> Self {
+        PropHash {
+            keys: RandomState::new(),
+            hash: |keys, key, text| keys.hash_one((key, text)),
+        }
+    }
+}
+
+impl PropHash {
+    fn of(&self, key: &str, text: &str) -> u64 {
+        (self.hash)(&self.keys, key, text)
+    }
+}
+
+/// The equality index over `Text`-valued node properties, seeded by the
+/// first read that needs it and repaired lazily after that: mutators mark
+/// nodes stale (cheap), and the first indexed read after a batch of writes
+/// re-derives just those nodes' entries. Restricted to `Text` because text
+/// equality has no cross-type coercion partner under `eq_cypher`
+/// (`Int`/`Float` coerce into each other, so an exact-value index would
+/// miss matches).
+///
+/// Buckets are keyed by the [`PropHash`] of `(key, text)`, not by the
+/// strings, so seeding copies no string. Pairs with colliding hashes share
+/// a bucket; every caller re-checks its candidates against the predicate,
+/// so a collision can only cost a wasted check.
 #[derive(Debug, Clone, Default)]
 struct PropIndex {
-    /// [`prop_key`] → live node ids carrying that exact value, ascending.
-    map: HashMap<String, Vec<NodeId>>,
-    /// node → the index keys its entries currently live under, so a stale
-    /// node can be un-indexed without knowing its old property values.
-    indexed: HashMap<NodeId, Vec<String>>,
+    /// Bucket hash → live node ids with a text property hashing there,
+    /// ascending.
+    buckets: HashMap<u64, Vec<NodeId>>,
+    /// node → the buckets its entries live under, so a stale node can be
+    /// un-indexed without knowing its old values. Derived from `buckets` by
+    /// the first repair: an index that never repairs (a frozen snapshot's)
+    /// never builds it.
+    entries: Option<HashMap<NodeId, Vec<u64>>>,
     /// Nodes touched since the last repair.
     stale: HashSet<NodeId>,
-    /// Whether the initial full-scan seed has run; until a read needs the
-    /// index, writes cost nothing.
+    /// Whether the full-scan seed has run; until a read needs the index,
+    /// writes cost nothing.
     seeded: bool,
+    /// Full seeds this index has run.
+    seeds: u64,
+    hash: PropHash,
 }
 
 impl PropIndex {
-    fn insert_node(&mut self, node: &Node) {
-        let mut keys = Vec::new();
-        for (k, v) in &node.props {
-            if let Some(text) = v.as_text() {
-                let key = prop_key(k, text);
-                let ids = self.map.entry(key.clone()).or_default();
-                match ids.binary_search(&node.id) {
-                    Ok(_) => {}
-                    Err(pos) => ids.insert(pos, node.id),
-                }
-                keys.push(key);
+    /// Bring the index up to date with `nodes`: the full seed on first use,
+    /// afterwards a repair of the stale nodes only.
+    fn refresh(&mut self, nodes: &Segments<Node>) {
+        if !self.seeded {
+            self.seeded = true;
+            self.seeds += 1;
+            for node in nodes.iter() {
+                self.insert_node(node);
             }
+            return;
         }
-        if !keys.is_empty() {
-            self.indexed.insert(node.id, keys);
+        if self.stale.is_empty() {
+            return;
         }
-    }
-
-    fn remove_node(&mut self, id: NodeId) {
-        if let Some(keys) = self.indexed.remove(&id) {
-            for key in keys {
-                if let Some(ids) = self.map.get_mut(&key) {
+        let entries = self.entries.get_or_insert_with(|| {
+            let mut entries: HashMap<NodeId, Vec<u64>> = HashMap::new();
+            for (&bucket, ids) in &self.buckets {
+                for &id in ids {
+                    entries.entry(id).or_default().push(bucket);
+                }
+            }
+            entries
+        });
+        for &id in &self.stale {
+            for bucket in entries.remove(&id).unwrap_or_default() {
+                if let Some(ids) = self.buckets.get_mut(&bucket) {
                     if let Ok(pos) = ids.binary_search(&id) {
                         ids.remove(pos);
                     }
                     if ids.is_empty() {
-                        self.map.remove(&key);
+                        self.buckets.remove(&bucket);
                     }
                 }
             }
         }
+        for id in std::mem::take(&mut self.stale) {
+            if let Some(node) = nodes.get(id.0) {
+                self.insert_node(node);
+            }
+        }
+    }
+
+    fn insert_node(&mut self, node: &Node) {
+        for (key, value) in &node.props {
+            let Some(text) = value.as_text() else {
+                continue;
+            };
+            let bucket = self.hash.of(key, text);
+            let ids = self.buckets.entry(bucket).or_default();
+            if let Err(pos) = ids.binary_search(&node.id) {
+                ids.insert(pos, node.id);
+            }
+            if let Some(entries) = &mut self.entries {
+                entries.entry(node.id).or_default().push(bucket);
+            }
+        }
+    }
+
+    fn candidates(&self, key: &str, text: &str) -> Vec<NodeId> {
+        self.buckets
+            .get(&self.hash.of(key, text))
+            .cloned()
+            .unwrap_or_default()
     }
 }
 
-/// Interior-mutability cell around [`PropIndex`]: reads repair staleness
-/// under the lock, so the index lives behind `&self` like every other read
-/// path. Cloning clones the index state (a cloned store keeps its warmth).
-#[derive(Debug, Default)]
-struct PropIndexCell(std::sync::RwLock<PropIndex>);
+/// The shared cell around [`PropIndex`]. Clones of one graph version share
+/// one index (`Clone` is a refcount bump), so it is seeded at most once
+/// however many frozen replicas read it. Reads repair staleness under the
+/// lock, so the index lives behind `&self` like every other read path; an
+/// up-to-date index is read under the shared lock only.
+#[derive(Debug, Clone, Default)]
+struct PropIndexCell(Arc<RwLock<PropIndex>>);
 
-impl Clone for PropIndexCell {
-    fn clone(&self) -> Self {
-        let inner = self.0.read().unwrap_or_else(|e| e.into_inner()).clone();
-        PropIndexCell(std::sync::RwLock::new(inner))
+impl PropIndexCell {
+    /// The writer's own index. If a clone shares it, the writer detaches
+    /// to a fresh, unseeded index: the shared one keeps describing the one
+    /// graph version its sharers froze, and whatever a reader of a frozen
+    /// clone seeded there is never copied on the write path.
+    fn exclusive(&mut self) -> &mut PropIndex {
+        if Arc::get_mut(&mut self.0).is_none() {
+            let hash = self.0.read().hash.clone();
+            self.0 = Arc::new(RwLock::new(PropIndex {
+                hash,
+                ..PropIndex::default()
+            }));
+        }
+        Arc::get_mut(&mut self.0)
+            .expect("detached index is exclusive")
+            .get_mut()
     }
 }
 
@@ -583,49 +662,52 @@ impl GraphStore {
     }
 
     /// Record that `id`'s property-index entries may be out of date. Free
-    /// until the index is first seeded by a read.
+    /// until the index is first seeded by a read, apart from detaching an
+    /// index a frozen clone still shares.
     fn mark_prop_stale(&mut self, id: NodeId) {
-        let idx = self
-            .prop_index
-            .0
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner());
+        let idx = self.prop_index.exclusive();
         if idx.seeded {
             idx.stale.insert(id);
         }
     }
 
-    /// Live node ids whose `key` property equals `value` exactly, ascending.
+    /// Candidate node ids for `key = value`, ascending: every live node
+    /// whose `key` property equals `value`, plus, only under a 64-bit hash
+    /// collision, nodes that do not match. Callers re-check each candidate.
     /// `None` when the value kind is not indexable (only `Text` is — other
     /// kinds coerce under `eq_cypher`, so callers must fall back to a
-    /// filtered scan). Lazily repairs staleness from the touched set, so the
-    /// cost after a write burst is proportional to the delta, not the graph.
+    /// filtered scan). The first read seeds the index; later reads repair
+    /// staleness from the touched set, so the cost after a write burst is
+    /// proportional to the delta, not the graph.
     pub fn nodes_with_prop_eq(&self, key: &str, value: &Value) -> Option<Vec<NodeId>> {
         let text = value.as_text()?;
-        let mut idx = self.prop_index.0.write().unwrap_or_else(|e| e.into_inner());
-        if !idx.seeded {
-            idx.map.clear();
-            idx.indexed.clear();
-            idx.stale.clear();
-            for node in self.nodes.iter() {
-                idx.insert_node(node);
-            }
-            idx.seeded = true;
-        } else if !idx.stale.is_empty() {
-            let stale: Vec<NodeId> = idx.stale.drain().collect();
-            for id in stale {
-                idx.remove_node(id);
-                if let Some(node) = self.nodes.get(id.0) {
-                    idx.insert_node(node);
-                }
+        {
+            let idx = self.prop_index.0.read();
+            if idx.seeded && idx.stale.is_empty() {
+                return Some(idx.candidates(key, text));
             }
         }
-        Some(
-            idx.map
-                .get(&prop_key(key, text))
-                .cloned()
-                .unwrap_or_default(),
-        )
+        let mut idx = self.prop_index.0.write();
+        idx.refresh(&self.nodes);
+        Some(idx.candidates(key, text))
+    }
+
+    /// Full seeds the property index shared by this store has run.
+    #[cfg(test)]
+    pub(crate) fn prop_index_seeds(&self) -> u64 {
+        self.prop_index.0.read().seeds
+    }
+
+    /// Make every property-index bucket collide (a fresh, unseeded index).
+    #[cfg(test)]
+    pub(crate) fn collide_prop_index(&mut self) {
+        *self.prop_index.exclusive() = PropIndex {
+            hash: PropHash {
+                hash: |_, _, _| 0,
+                ..PropHash::default()
+            },
+            ..PropIndex::default()
+        };
     }
 
     /// Get-or-create by `(label, name)` — the §2.5 exact-text merge. When the
@@ -675,17 +757,10 @@ impl GraphStore {
 
     /// Mutable property access. Conservatively marks the node as changed.
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
-        let node = self.nodes.get_mut(id.0)?;
+        self.nodes.get(id.0)?;
         self.touched_nodes.insert(id);
-        let idx = self
-            .prop_index
-            .0
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner());
-        if idx.seeded {
-            idx.stale.insert(id);
-        }
-        Some(node)
+        self.mark_prop_stale(id);
+        self.nodes.get_mut(id.0)
     }
 
     /// Update a node property, maintaining the name index.

@@ -85,20 +85,28 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedFifo<K, V> {
         }
     }
 
-    /// `key`'s value, or on a miss the `Ok` value of `fill`, which runs and
-    /// is cached under the shard's lock: concurrent misses on one key wait
-    /// for the first fill instead of racing it. An `Err` is not cached.
+    /// `key`'s value if `is_hit` accepts it, or else the `Ok` value of
+    /// `fill`. A miss on an absent key fills under the shard's lock and
+    /// caches the value: concurrent misses on one key wait for the first
+    /// fill instead of racing it. An entry `is_hit` rejects stays, and the
+    /// fill's value is not cached; neither is an `Err`.
     pub(crate) fn get_or_try_fill<E>(
         &self,
         hash: u64,
         key: K,
+        is_hit: impl FnOnce(&V) -> bool,
         fill: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
         let mut shard = self.shard(hash).lock();
-        let found = shard.map.get(&key).cloned();
-        self.count(found.is_some());
-        if let Some(value) = found {
-            return Ok(value);
+        let found = shard.map.get(&key).map(|v| (is_hit(v), v));
+        self.count(matches!(found, Some((true, _))));
+        match found {
+            Some((true, value)) => return Ok(value.clone()),
+            Some((false, _)) => {
+                drop(shard);
+                return fill();
+            }
+            None => {}
         }
         let value = fill()?;
         self.push(&mut shard, key, value.clone());
@@ -283,6 +291,25 @@ mod tests {
         // Lookups that never reached a shard are not misses: all counters
         // stay zero, so hit-rate reads "no data" rather than 0%.
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn a_rejected_entry_stays_and_its_fill_is_not_cached() {
+        let fifo: ShardedFifo<u64, &str> = ShardedFifo::new(64);
+        let fill = |v| move || Ok::<_, ()>(v);
+        assert_eq!(fifo.get_or_try_fill(1, 1, |_| true, fill("a")), Ok("a"));
+        assert_eq!(
+            fifo.get_or_try_fill(1, 1, |v| *v == "a", fill("x")),
+            Ok("a")
+        );
+        // Same key, different content (a hash collision): fill uncached.
+        assert_eq!(
+            fifo.get_or_try_fill(1, 1, |v| *v == "b", fill("b")),
+            Ok("b")
+        );
+        assert_eq!(fifo.get(1, &1), Some("a"));
+        let stats = fifo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1));
     }
 
     #[test]

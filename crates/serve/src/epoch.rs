@@ -13,10 +13,14 @@
 //! - the **adjacency table** re-freezes only the nodes whose edge sets the
 //!   delta touched (each list individually `Arc`'d, untouched entries are
 //!   shared with every previous epoch);
-//! - the **graph and index clones** are cheap by structural sharing:
-//!   `GraphStore` arenas are `Arc`'d segments and `SearchIndex` posting lists
-//!   are `Arc`'d, so `clone()` bumps refcounts and only writer-touched
-//!   shards were ever deep-copied.
+//! - the **graph and index clones** share what is `Arc`'d and copy the
+//!   rest. Shared: the `GraphStore` node/edge arena segments (the writer
+//!   copies a segment when it next touches it), the graph's property index
+//!   (one per graph version; the writer's next node mutation detaches to a
+//!   fresh one) and each `SearchIndex` posting list. Copied on every clone, at a
+//!   cost that grows with the graph (ROADMAP item 3): the graph's label and
+//!   name indexes, its `out_edges`/`in_edges` maps, its touched sets and
+//!   delta log, and the search index's term map.
 //!
 //! The same builder serves the sharded path ([`crate::ShardSet`]): built
 //! with a shard count N, it keeps its terms and adjacency in N owner
@@ -245,10 +249,10 @@ impl EpochBuilder {
     }
 
     /// Absorb pending changes and freeze the current graph + index state
-    /// into a publishable snapshot. The clones are refcount bumps over
-    /// `Arc`'d segments/posting lists — only shards the writer touches
-    /// *after* this freeze get deep-copied, on its side. Sharded builders
-    /// freeze per shard through [`crate::ShardSet`] instead.
+    /// into a publishable snapshot. The clones share the `Arc`'d parts
+    /// (arena segments, property index, posting lists) and copy the rest
+    /// (see the module docs). Sharded builders freeze per shard through
+    /// [`crate::ShardSet`] instead.
     pub fn freeze(&mut self, graph: &mut GraphStore, search: &SearchIndex<NodeId>) -> KgSnapshot {
         debug_assert_eq!(
             self.slices.len(),

@@ -24,8 +24,9 @@
 //! Freezing a snapshot comes in two flavours: [`KgSnapshot::build`] is the
 //! O(graph) full rebuild (the correctness oracle), and [`EpochBuilder`] is
 //! the O(delta) incremental path — it carries the digest and adjacency table
-//! forward across epochs and relies on structural sharing (`Arc`'d graph
-//! segments and posting lists) to make the freeze clones refcount bumps.
+//! forward across epochs and shares the `Arc`'d parts of the graph and the
+//! index (arena segments, the property index, posting lists) with the
+//! frozen clones; the other graph indexes are still copied per freeze.
 //!
 //! Push alerts ride the same delta stream: a [`SubscriptionHub`] holds
 //! standing queries (node predicates compiled to the Cypher `WHERE` form,

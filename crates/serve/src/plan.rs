@@ -39,8 +39,9 @@ pub struct PlanCacheStats {
 /// text. Shared across epochs by construction — nothing snapshot-dependent
 /// enters the key or the value.
 pub struct PlanCache {
-    /// 0 capacity disables caching (every lookup compiles).
-    fifo: ShardedFifo<String, Arc<CompiledPlan>>,
+    /// Hash of the normalized text → the normalized text and its plan. 0
+    /// capacity disables caching (every lookup compiles).
+    fifo: ShardedFifo<u64, (Arc<str>, Arc<CompiledPlan>)>,
     compiles: AtomicU64,
 }
 
@@ -62,16 +63,24 @@ impl PlanCache {
     /// Fetch the compiled plan for `text`, compiling (and caching) on a
     /// miss. The key is `normalize(text)` — the same normalizer the answer
     /// cache's Cypher keys use — so whitespace-variant spellings of one
-    /// query share one plan. The compile runs under the shard lock, so
-    /// concurrent misses on one query wait for the first compile instead of
-    /// racing it, and each distinct plan compiles exactly once.
+    /// query share one plan. A lookup hashes and compares the normalized
+    /// words in place, so a hit allocates nothing; on a hash collision the
+    /// cached plan stays and `text` compiles uncached. The compile runs
+    /// under the shard lock, so concurrent misses on one query wait for the
+    /// first compile instead of racing it, and each distinct plan compiles
+    /// exactly once.
     pub fn plan(&self, text: &str) -> Result<Arc<CompiledPlan>, CypherError> {
         if !self.fifo.enabled() {
             return self.compile(text);
         }
-        let key = crate::normalize(text);
-        let hash = kg_ir::fnv1a64(key.as_bytes());
-        self.fifo.get_or_try_fill(hash, key, || self.compile(text))
+        let hash = crate::snapshot::normalized_hash(text);
+        let (_, plan) = self.fifo.get_or_try_fill(
+            hash,
+            hash,
+            |(key, _)| crate::snapshot::same_normalized(key, text),
+            || Ok((crate::normalize(text).into(), self.compile(text)?)),
+        )?;
+        Ok(plan)
     }
 
     /// Plans currently cached (across shards).
@@ -160,6 +169,28 @@ mod tests {
             }
             .cache_key()
         );
+    }
+
+    #[test]
+    fn streamed_keys_agree_with_the_normalizer() {
+        for text in [
+            "",
+            "   ",
+            "MATCH (n) RETURN n",
+            "\tMATCH  (n)\nRETURN n  ",
+            "a",
+            " a b ",
+        ] {
+            let normalized = crate::normalize(text);
+            assert_eq!(
+                crate::snapshot::normalized_hash(text),
+                kg_ir::fnv1a64(normalized.as_bytes()),
+                "{text:?}"
+            );
+            assert!(crate::snapshot::same_normalized(text, &normalized));
+        }
+        assert!(!crate::snapshot::same_normalized("a b", "ab"));
+        assert!(!crate::snapshot::same_normalized("a b", "a b c"));
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   stats injected and merges per-shard top-k by `(score desc, global
 //!   slot asc)` — bit-identical to the unsharded scores. Cypher scatters
 //!   the plan to every shard with that shard's ownership test as the
-//!   anchor filter (each shard carries a full structurally-shared replica,
-//!   so joins and property lookups resolve locally) and gathers the rows
-//!   in `(anchor, seq)` order — the unsharded call is the same scatter
+//!   anchor filter (each shard carries a full replica, so joins and
+//!   property lookups resolve locally) and gathers the rows in
+//!   `(anchor, seq)` order, or, for an aggregate, merges each group's
+//!   per-shard partial counts — the unsharded call is the same scatter
 //!   owning every anchor. BFS expansion fetches each node's neighbours from
 //!   the shard owning it.
 //! - **Auditability**: every [`ShardedResponse`] carries a `(shard,
@@ -59,10 +60,12 @@ use std::time::Instant;
 /// index's ascending-slot tie-break.
 pub type ShardDoc = (u32, NodeId);
 
-/// One shard's immutable published state: a full graph replica (cheap by
-/// structural sharing — this is the ghost/halo layer, realised through
-/// `Arc`'d arena segments instead of copies), the shard's posting
-/// partition, its owned adjacency entries, and its partial digest.
+/// One shard's immutable published state: a full graph replica (the
+/// ghost/halo layer), the shard's posting partition, its owned adjacency
+/// entries, and its partial digest. The replicas frozen at one cut share
+/// their arena segments and their property index (seeded once, by the
+/// first read that needs it, for all of them); each holds its own copy of
+/// the label, name and edge indexes.
 pub struct ShardSnapshot {
     shard: usize,
     version: u64,

@@ -91,7 +91,29 @@ impl Query {
 
 /// Collapse runs of whitespace to single spaces and trim the ends.
 pub fn normalize(text: &str) -> String {
-    text.split_whitespace().collect::<Vec<_>>().join(" ")
+    let mut out = String::with_capacity(text.len());
+    for word in text.split_whitespace() {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(word);
+    }
+    out
+}
+
+/// `fnv1a64(normalize(text))`, streamed word by word without building the
+/// normalized text.
+pub(crate) fn normalized_hash(text: &str) -> u64 {
+    let mut words = text.split_whitespace();
+    let first = kg_ir::fnv1a64(words.next().unwrap_or_default().as_bytes());
+    words.fold(first, |h, word| {
+        kg_ir::fnv1a64_extend(kg_ir::fnv1a64_extend(h, b" "), word.as_bytes())
+    })
+}
+
+/// `normalize(a) == normalize(b)`, compared in place.
+pub(crate) fn same_normalized(a: &str, b: &str) -> bool {
+    a.split_whitespace().eq(b.split_whitespace())
 }
 
 /// What a query evaluates to. `Error` is an answer too: a malformed Cypher
