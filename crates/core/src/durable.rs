@@ -45,7 +45,7 @@ use crate::journal::{self, Journal, JournalError, JournalRecord};
 use crate::SystemConfig;
 use kg_corpus::{standard_sources, SimulatedWeb, World};
 use kg_crawler::{Scheduler, SchedulerCheckpoint, SchedulerConfig, SchedulerStats};
-use kg_graph::{edge_digest, node_digest, Edge, GraphStore, Node, NodeId, DIGEST_SEED};
+use kg_graph::{Edge, GraphStore, Node, NodeId, SegmentTerms, DIGEST_SEED};
 use kg_ir::{combine_hashes, RawReport};
 use kg_persist::{FaultHook, SegmentStore, StoreOptions};
 use kg_pipeline::{
@@ -219,36 +219,30 @@ struct Recovered {
 }
 
 /// One decoded segment blob, produced by the parallel decode pool. Graph
-/// segments carry the seedless sum of their live elements' digest terms,
-/// hashed by the worker that decoded them.
+/// segments carry their live elements' digest terms, hashed by the worker
+/// that decoded them.
 enum DecodedPart {
-    Node(Vec<Option<Node>>, u64),
-    Edge(Vec<Option<Edge>>, u64),
+    Node(Vec<Option<Node>>, SegmentTerms),
+    Edge(Vec<Option<Edge>>, SegmentTerms),
     Doc(Vec<(NodeId, u32)>),
     Shard(ShardTerms),
 }
 
 /// Decode one `KGBIN001` segment blob; a payload that is not one is an
-/// attributed error. Graph segments are hashed here too, so the digest
-/// check costs no serial pass.
+/// attributed error. Graph segments are hashed here too, so neither the
+/// digest check nor the serving layer's seeding costs a serial pass.
 fn decode_part(kind: char, index: usize, bytes: &[u8]) -> Result<DecodedPart, String> {
-    fn partial<T>(slots: &[Option<T>], term: fn(&T) -> u64) -> u64 {
-        slots
-            .iter()
-            .flatten()
-            .fold(0u64, |sum, element| sum.wrapping_add(term(element)))
-    }
     match kind {
         'n' => kg_codec::decode_node_segment(bytes)
             .map(|slots| {
-                let sum = partial(&slots, node_digest);
-                DecodedPart::Node(slots, sum)
+                let terms = SegmentTerms::of_nodes(&slots);
+                DecodedPart::Node(slots, terms)
             })
             .map_err(|e| format!("node segment {index}: {e}")),
         'e' => kg_codec::decode_edge_segment(bytes)
             .map(|slots| {
-                let sum = partial(&slots, edge_digest);
-                DecodedPart::Edge(slots, sum)
+                let terms = SegmentTerms::of_edges(&slots);
+                DecodedPart::Edge(slots, terms)
             })
             .map_err(|e| format!("edge segment {index}: {e}")),
         'd' => kg_codec::decode_doc_segment(bytes)
@@ -259,50 +253,6 @@ fn decode_part(kind: char, index: usize, bytes: &[u8]) -> Result<DecodedPart, St
             .map_err(|e| format!("search shard {index}: {e}")),
         other => Err(format!("unknown blob kind {other:?}")),
     }
-}
-
-/// Decode a checkpoint's segment blobs across cores: segments are
-/// independent by construction, so a work-stealing counter over the job
-/// list keeps every core busy regardless of skew in segment sizes. Results
-/// come back in job order.
-fn decode_parts(jobs: &[(char, usize, &[u8])]) -> Vec<Result<DecodedPart, String>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(jobs.len());
-    if workers <= 1 {
-        return jobs.iter().map(|&(k, i, b)| decode_part(k, i, b)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<DecodedPart, String>>> =
-        (0..jobs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let at = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(kind, index, bytes)) = jobs.get(at) else {
-                            break;
-                        };
-                        mine.push((at, decode_part(kind, index, bytes)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (at, result) in handle.join().expect("decode worker panicked") {
-                slots[at] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job claimed exactly once"))
-        .collect()
 }
 
 /// Reassemble a checkpoint from its verified blobs. Every structural or
@@ -338,27 +288,34 @@ fn reassemble(
             jobs.push((kind, i, bytes.as_slice()));
         }
     }
-    let mut decoded = decode_parts(&jobs).into_iter();
-    let mut node_parts: Vec<Vec<Option<Node>>> = Vec::with_capacity(meta.node_segments);
-    let mut edge_parts: Vec<Vec<Option<Edge>>> = Vec::with_capacity(meta.edge_segments);
+    // Segments are independent by construction, so they decode across
+    // cores through the store's work-stealing map.
+    let mut decoded = kg_persist::par_map(&jobs, |&(kind, index, bytes)| {
+        decode_part(kind, index, bytes)
+    })
+    .into_iter();
+    let mut node_parts = Vec::with_capacity(meta.node_segments);
+    let mut edge_parts = Vec::with_capacity(meta.edge_segments);
     let mut doc_parts: Vec<Vec<(NodeId, u32)>> = Vec::with_capacity(meta.search_doc_segments);
     let mut shard_parts: Vec<ShardTerms> = Vec::with_capacity(PERSIST_SHARDS);
     let mut digest = DIGEST_SEED;
     for _ in 0..jobs.len() {
         match decoded.next().expect("one result per job")? {
-            DecodedPart::Node(part, sum) => {
-                node_parts.push(part);
-                digest = digest.wrapping_add(sum);
+            DecodedPart::Node(part, terms) => {
+                digest = digest.wrapping_add(terms.sum());
+                node_parts.push((part, terms));
             }
-            DecodedPart::Edge(part, sum) => {
-                edge_parts.push(part);
-                digest = digest.wrapping_add(sum);
+            DecodedPart::Edge(part, terms) => {
+                digest = digest.wrapping_add(terms.sum());
+                edge_parts.push((part, terms));
             }
             DecodedPart::Doc(part) => doc_parts.push(part),
             DecodedPart::Shard(part) => shard_parts.push(part),
         }
     }
-    let graph = GraphStore::from_segments(node_parts, edge_parts)?;
+    // The graph keeps the workers' terms: seeding a serving epoch from it
+    // (`kg_serve::EpochBuilder`, `ShardSet`) reads them instead of hashing.
+    let graph = GraphStore::from_hashed_segments(node_parts, edge_parts)?;
     // The decisive check: the reassembled graph must reproduce the digest
     // the manifest recorded at checkpoint time, byte-identical semantics.
     // The sum of the workers' segment partials covers exactly the
@@ -1000,6 +957,45 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, JournalError::NoJournal { .. }), "{err}");
         assert_eq!(files(&dir), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeding a serving epoch from a recovered graph reads the digest
+    /// terms recovery's decode workers hashed: after `open_store` and after
+    /// a no-op `run_durable` resume, neither the builder (N = 1 and N
+    /// shards) nor the graph digest hashes a single element again.
+    #[test]
+    fn seeding_a_recovered_graph_hashes_no_element() {
+        use kg_graph::terms_hashed_on_this_thread as hashed;
+        use kg_serve::{EpochBuilder, ShardSet};
+        let horizon = DEFAULT_START_MS + 6 * 3_600_000;
+        let dir = tmp_dir("seed-terms");
+        let built = run(&dir, horizon);
+        assert!(built.cycles_run > 0 && built.graph.node_count() > 0);
+        let resumed = run(&dir, horizon);
+        assert_eq!(resumed.cycles_run, 0, "a no-op resume");
+        let opened = open_store(&dir).unwrap();
+        for (what, mut graph, search) in [
+            ("no-op resume", resumed.graph, resumed.search),
+            ("open_store", opened.graph, opened.search),
+        ] {
+            let before = hashed();
+            assert_eq!(graph.digest(), built.kg_digest, "{what}");
+            let epoch = EpochBuilder::new(&mut graph);
+            assert_eq!(epoch.digest(), built.kg_digest, "{what}");
+            for shards in [2, 3] {
+                let snapshots =
+                    ShardSet::new(&mut graph, &search, shards).freeze_all(&mut graph, &search);
+                let combined = kg_serve::combined_digest(
+                    &snapshots
+                        .into_iter()
+                        .map(std::sync::Arc::new)
+                        .collect::<Vec<_>>(),
+                );
+                assert_eq!(combined, built.kg_digest, "{what}, {shards} shards");
+            }
+            assert_eq!(hashed(), before, "{what}: seeding re-hashed elements");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,8 @@ pub mod value;
 pub use cypher::{parse, CompiledNodePredicate, CompiledPlan, Params, QueryResult, ScatterRow};
 pub use snapshot::GraphSnapshot;
 pub use store::{
-    canon_shard, edge_digest, id_shard, node_digest, node_shard, DeltaBatch, DeltaCursor, Edge,
-    EdgeId, GraphChanges, GraphStore, Node, NodeId, StoreError, DIGEST_SEED,
+    canon_shard, edge_digest, id_shard, node_digest, node_shard, terms_hashed_on_this_thread,
+    DeltaBatch, DeltaCursor, Edge, EdgeId, GraphChanges, GraphStore, Node, NodeId, SegmentTerms,
+    StoreError, DIGEST_SEED,
 };
 pub use value::Value;

@@ -33,7 +33,7 @@ use crate::value::Value;
 use kg_ir::{fnv1a64_pinned, fnv1a64_pinned_extend, splitmix64};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -137,17 +137,28 @@ thread_local! {
     /// Reused JSON buffer for digest terms, so hashing an element allocates
     /// nothing once the buffer has grown to the largest element seen.
     static TERM_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+    /// Element terms hashed on this thread (see [`terms_hashed_on_this_thread`]).
+    static TERMS_HASHED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// `splitmix64(fnv1a64(canonical JSON of element) ^ tag)`; the JSON is
 /// written into [`TERM_SCRATCH`], never into a fresh `String`.
 fn element_term<T: Serialize>(element: &T, tag: u64) -> u64 {
+    TERMS_HASHED.with(|n| n.set(n.get() + 1));
     TERM_SCRATCH.with(|buf| {
         let mut json = buf.borrow_mut();
         json.clear();
         element.write_json(&mut json);
         splitmix64(fnv1a64_pinned(json.as_bytes()) ^ tag)
     })
+}
+
+/// How many element digest terms ([`node_digest`]/[`edge_digest`]) this
+/// thread has hashed so far. Instrumentation: it lets a test see that a
+/// consumer of a reassembled store reads the terms the store carries
+/// instead of hashing the elements again.
+pub fn terms_hashed_on_this_thread() -> u64 {
+    TERMS_HASHED.with(Cell::get)
 }
 
 /// The digest term one node contributes to [`GraphStore::digest`].
@@ -158,6 +169,49 @@ pub fn node_digest(node: &Node) -> u64 {
 /// The digest term one edge contributes to [`GraphStore::digest`].
 pub fn edge_digest(edge: &Edge) -> u64 {
     element_term(edge, TAG_EDGE)
+}
+
+/// The digest terms of one arena segment's slots, indexed by slot (a
+/// tombstone's entry is 0), and their seedless sum. A loader hashes each
+/// segment as it decodes it ([`SegmentTerms::of_nodes`],
+/// [`SegmentTerms::of_edges`]) and hands the terms to
+/// [`GraphStore::from_hashed_segments`], so nothing downstream of the load
+/// hashes an element again.
+#[derive(Debug)]
+pub struct SegmentTerms {
+    terms: Vec<u64>,
+    sum: u64,
+}
+
+impl SegmentTerms {
+    fn of<T>(slots: &[Option<T>], term: fn(&T) -> u64) -> Self {
+        let terms: Vec<u64> = slots.iter().map(|s| s.as_ref().map_or(0, term)).collect();
+        let sum = terms.iter().fold(0u64, |sum, &t| sum.wrapping_add(t));
+        SegmentTerms { terms, sum }
+    }
+
+    /// Hash a node segment's live slots.
+    pub fn of_nodes(slots: &[Option<Node>]) -> Self {
+        Self::of(slots, node_digest)
+    }
+
+    /// Hash an edge segment's live slots.
+    pub fn of_edges(slots: &[Option<Edge>]) -> Self {
+        Self::of(slots, edge_digest)
+    }
+
+    /// The seedless wrapping sum of the segment's live terms.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+}
+
+/// The digest terms a reassembled store carries, indexed by slot: what
+/// the loader hashed, valid until the first element mutation drops them.
+#[derive(Debug)]
+struct ElementTerms {
+    nodes: Vec<u64>,
+    edges: Vec<u64>,
 }
 
 // ---- canon-key shard routing ------------------------------------------------
@@ -612,6 +666,12 @@ pub struct GraphStore {
     /// Equality index over `Text` node properties (see [`PropIndex`]).
     #[serde(skip)]
     prop_index: PropIndexCell,
+    /// The element digest terms hashed when this store was reassembled
+    /// ([`GraphStore::from_hashed_segments`]), shared by clones. Every
+    /// element mutation drops them (`touch_node`/`touch_edge`), so a
+    /// carried term always describes the live element in its slot.
+    #[serde(skip)]
+    terms: Option<Arc<ElementTerms>>,
     live_nodes: usize,
     live_edges: usize,
 }
@@ -656,19 +716,28 @@ impl GraphStore {
             .push(id);
         self.nodes.push(node);
         self.live_nodes += 1;
-        self.touched_nodes.insert(id);
-        self.mark_prop_stale(id);
+        self.touch_node(id);
         id
     }
 
-    /// Record that `id`'s property-index entries may be out of date. Free
-    /// until the index is first seeded by a read, apart from detaching an
-    /// index a frozen clone still shares.
-    fn mark_prop_stale(&mut self, id: NodeId) {
+    /// Record a change to node `id`: on the delta log's pending tail, as
+    /// stale in the property index, and by dropping any carried digest
+    /// terms. The property index is free until first seeded by a read,
+    /// apart from detaching an index a frozen clone still shares.
+    fn touch_node(&mut self, id: NodeId) {
+        self.touched_nodes.insert(id);
+        self.terms = None;
         let idx = self.prop_index.exclusive();
         if idx.seeded {
             idx.stale.insert(id);
         }
+    }
+
+    /// Record a change to edge `id` (endpoints captured now, see
+    /// [`GraphChanges::edges`]) and drop any carried digest terms.
+    fn touch_edge(&mut self, id: EdgeId, from: NodeId, to: NodeId) {
+        self.touched_edges.insert(id, (from, to));
+        self.terms = None;
     }
 
     /// Candidate node ids for `key = value`, ascending: every live node
@@ -737,8 +806,7 @@ impl GraphStore {
                 }
             }
             if changed {
-                self.touched_nodes.insert(id);
-                self.mark_prop_stale(id);
+                self.touch_node(id);
             }
             return id;
         }
@@ -758,8 +826,7 @@ impl GraphStore {
     /// Mutable property access. Conservatively marks the node as changed.
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
         self.nodes.get(id.0)?;
-        self.touched_nodes.insert(id);
-        self.mark_prop_stale(id);
+        self.touch_node(id);
         self.nodes.get_mut(id.0)
     }
 
@@ -786,8 +853,7 @@ impl GraphStore {
         // `node` was invalidated by the name-index borrows above; re-fetch.
         let node = self.nodes.get_mut(id.0).ok_or(StoreError::NoSuchNode(id))?;
         node.props.insert(key.to_owned(), value);
-        self.touched_nodes.insert(id);
-        self.mark_prop_stale(id);
+        self.touch_node(id);
         Ok(())
     }
 
@@ -809,8 +875,7 @@ impl GraphStore {
         }
         self.nodes.clear(id.0);
         self.live_nodes -= 1;
-        self.touched_nodes.insert(id);
-        self.mark_prop_stale(id);
+        self.touch_node(id);
         if let Some(ids) = self.label_index.get_mut(&label) {
             ids.retain(|&n| n != id);
         }
@@ -889,7 +954,7 @@ impl GraphStore {
         self.out_edges.entry(from).or_default().push(id);
         self.in_edges.entry(to).or_default().push(id);
         self.live_edges += 1;
-        self.touched_edges.insert(id, (from, to));
+        self.touch_edge(id, from, to);
         Ok(id)
     }
 
@@ -920,7 +985,7 @@ impl GraphStore {
             let edge = self.edges.get(id.0)?;
             (edge.from, edge.to)
         };
-        self.touched_edges.insert(id, (from, to));
+        self.touch_edge(id, from, to);
         self.edges.get_mut(id.0)
     }
 
@@ -930,7 +995,7 @@ impl GraphStore {
         let (from, to) = (edge.from, edge.to);
         self.edges.clear(id.0);
         self.live_edges -= 1;
-        self.touched_edges.insert(id, (from, to));
+        self.touch_edge(id, from, to);
         if let Some(es) = self.out_edges.get_mut(&from) {
             es.retain(|&e| e != id);
         }
@@ -1022,14 +1087,32 @@ impl GraphStore {
     /// agree whenever their live node/edge sets agree — independent of
     /// tombstone layout or the order elements were touched.
     pub fn digest(&self) -> u64 {
-        let mut digest = DIGEST_SEED;
-        for node in self.all_nodes() {
-            digest = digest.wrapping_add(node_digest(node));
-        }
-        for edge in self.all_edges() {
-            digest = digest.wrapping_add(edge_digest(edge));
-        }
-        digest
+        let nodes = self.node_terms().map(|(_, term)| term);
+        let edges = self.edge_terms().map(|(_, term)| term);
+        nodes
+            .chain(edges)
+            .fold(DIGEST_SEED, |digest, term| digest.wrapping_add(term))
+    }
+
+    /// Every live node with its [`node_digest`] term, in slot order: the
+    /// term the store was reassembled with when it still carries terms
+    /// (no element has changed since), else hashed now.
+    pub fn node_terms(&self) -> impl Iterator<Item = (&Node, u64)> {
+        let carried = self.terms.as_deref().map(|t| t.nodes.as_slice());
+        self.all_nodes().map(move |node| {
+            let term = carried.map_or_else(|| node_digest(node), |t| t[node.id.0 as usize]);
+            (node, term)
+        })
+    }
+
+    /// Every live edge with its [`edge_digest`] term, in slot order; see
+    /// [`GraphStore::node_terms`].
+    pub fn edge_terms(&self) -> impl Iterator<Item = (&Edge, u64)> {
+        let carried = self.terms.as_deref().map(|t| t.edges.as_slice());
+        self.all_edges().map(move |edge| {
+            let term = carried.map_or_else(|| edge_digest(edge), |t| t[edge.id.0 as usize]);
+            (edge, term)
+        })
     }
 
     /// Register a new consumer of the delta log. Pending (un-sealed) changes
@@ -1265,6 +1348,42 @@ impl GraphStore {
         };
         store.rebuild_indexes();
         store.clear_segment_dirty();
+        Ok(store)
+    }
+
+    /// [`GraphStore::from_segments`] over segments a loader hashed while
+    /// decoding them: the store carries their digest terms, so
+    /// [`GraphStore::digest`], [`GraphStore::node_terms`] and
+    /// [`GraphStore::edge_terms`] read them instead of hashing again,
+    /// until the first element mutation drops them. Each segment's terms
+    /// must come from its own slots.
+    pub fn from_hashed_segments(
+        node_parts: Vec<(Vec<Option<Node>>, SegmentTerms)>,
+        edge_parts: Vec<(Vec<Option<Edge>>, SegmentTerms)>,
+    ) -> Result<Self, String> {
+        type Parts<T> = Vec<Vec<Option<T>>>;
+        fn split<T>(
+            parts: Vec<(Vec<Option<T>>, SegmentTerms)>,
+        ) -> Result<(Parts<T>, Vec<u64>), String> {
+            let mut terms = Vec::with_capacity(parts.len() * SEG_CAP);
+            let mut slots = Vec::with_capacity(parts.len());
+            for (i, (part, hashed)) in parts.into_iter().enumerate() {
+                if part.len() != hashed.terms.len() {
+                    return Err(format!(
+                        "segment {i}: {} terms for {} slots",
+                        hashed.terms.len(),
+                        part.len()
+                    ));
+                }
+                terms.extend_from_slice(&hashed.terms);
+                slots.push(part);
+            }
+            Ok((slots, terms))
+        }
+        let (node_parts, nodes) = split(node_parts).map_err(|e| format!("node arena: {e}"))?;
+        let (edge_parts, edges) = split(edge_parts).map_err(|e| format!("edge arena: {e}"))?;
+        let mut store = Self::from_segments(node_parts, edge_parts)?;
+        store.terms = Some(Arc::new(ElementTerms { nodes, edges }));
         Ok(store)
     }
 

@@ -12,6 +12,7 @@
 
 use kg_ontology::EntityKind;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A detected IOC span in some text.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,8 +140,10 @@ impl IocMatcher {
         if name.contains('/') || name.contains('\\') || name.contains('@') {
             return false;
         }
-        let ext = ext.to_ascii_lowercase();
-        self.file_extensions.iter().any(|&e| e == ext)
+        // The listed extensions are lowercase.
+        self.file_extensions
+            .iter()
+            .any(|e| e.eq_ignore_ascii_case(ext))
             && name
                 .chars()
                 .all(|c| c.is_ascii_alphanumeric() || "._-$%~".contains(c))
@@ -163,16 +166,15 @@ impl IocMatcher {
     }
 
     fn is_domain(&self, s: &str) -> bool {
-        let refanged = refang(s);
-        let labels: Vec<&str> = refanged.split('.').collect();
-        if labels.len() < 2 {
+        let refanged = refanged(s);
+        // At least two labels; the listed TLDs are lowercase.
+        let Some((_, tld)) = refanged.rsplit_once('.') else {
+            return false;
+        };
+        if !self.tlds.iter().any(|t| t.eq_ignore_ascii_case(tld)) {
             return false;
         }
-        let tld = labels.last().unwrap().to_ascii_lowercase();
-        if !self.tlds.iter().any(|&t| t == tld) {
-            return false;
-        }
-        labels.iter().all(|l| {
+        refanged.split('.').all(|l| {
             !l.is_empty()
                 && l.chars()
                     .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
@@ -184,11 +186,23 @@ impl IocMatcher {
 
 /// Strip defanging (`[.]`, `(.)`, `[at]`, `hxxp`) from a candidate.
 pub fn refang(s: &str) -> String {
-    s.replace("[.]", ".")
-        .replace("(.)", ".")
-        .replace("[at]", "@")
-        .replace("hxxps://", "https://")
-        .replace("hxxp://", "http://")
+    refanged(s).into_owned()
+}
+
+/// [`refang`], borrowing `s` when it holds no defanging sequence: the
+/// classifiers run on every whitespace chunk of every tokenized text, and
+/// almost none is defanged.
+fn refanged(s: &str) -> Cow<'_, str> {
+    if !["[.]", "(.)", "[at]", "hxxp"].iter().any(|p| s.contains(p)) {
+        return Cow::Borrowed(s);
+    }
+    Cow::Owned(
+        s.replace("[.]", ".")
+            .replace("(.)", ".")
+            .replace("[at]", "@")
+            .replace("hxxps://", "https://")
+            .replace("hxxp://", "http://"),
+    )
 }
 
 fn is_pathish_char(c: char) -> bool {
@@ -223,7 +237,7 @@ fn trim_decoration(text: &str, mut start: usize, mut end: usize) -> (usize, usiz
 }
 
 fn is_url(s: &str) -> bool {
-    let refanged = refang(s);
+    let refanged = refanged(s);
     for scheme in ["http://", "https://", "ftp://", "tcp://"] {
         if let Some(rest) = refanged.strip_prefix(scheme) {
             return !rest.is_empty() && !rest.contains(char::is_whitespace);
@@ -233,7 +247,7 @@ fn is_url(s: &str) -> bool {
 }
 
 fn is_email(s: &str) -> bool {
-    let refanged = refang(s);
+    let refanged = refanged(s);
     let Some((local, domain)) = refanged.split_once('@') else {
         return false;
     };
@@ -267,8 +281,12 @@ fn is_registry_key(s: &str) -> bool {
 }
 
 fn is_cve(s: &str) -> bool {
-    let up = s.to_ascii_uppercase();
-    let Some(rest) = up.strip_prefix("CVE-") else {
+    // Case-insensitive "CVE-" prefix; the rest is checked byte-exact.
+    let Some(rest) = s
+        .get(..4)
+        .filter(|prefix| prefix.eq_ignore_ascii_case("CVE-"))
+        .map(|_| &s[4..])
+    else {
         return false;
     };
     let Some((year, num)) = rest.split_once('-') else {
@@ -297,7 +315,7 @@ fn hash_kind(s: &str) -> Option<EntityKind> {
 }
 
 fn is_ipv4(s: &str) -> bool {
-    let refanged = refang(s);
+    let refanged = refanged(s);
     let mut count = 0;
     for part in refanged.split('.') {
         count += 1;

@@ -52,11 +52,13 @@ impl Token {
 /// glue with interior `.` and `,` only when flanked by digits; everything
 /// else is single-char punctuation. Offsets are byte offsets into `text`.
 pub fn tokenize(text: &str) -> Vec<Token> {
-    tokenize_range(text, 0, text.len())
+    let mut tokens = Vec::new();
+    tokenize_range(text, 0, text.len(), &mut tokens);
+    tokens
 }
 
-fn tokenize_range(text: &str, from: usize, to: usize) -> Vec<Token> {
-    let mut tokens = Vec::new();
+/// Append the tokens of `text[from..to]` to `tokens`.
+fn tokenize_range(text: &str, from: usize, to: usize, tokens: &mut Vec<Token>) {
     let s = &text[from..to];
     let mut iter = s.char_indices().peekable();
     while let Some((i, c)) = iter.next() {
@@ -116,7 +118,6 @@ fn tokenize_range(text: &str, from: usize, to: usize) -> Vec<Token> {
             });
         }
     }
-    tokens
 }
 
 fn next_char_is_alnum(text: &str, at: usize, to: usize) -> bool {
@@ -144,10 +145,10 @@ pub fn tokenize_protected(text: &str, matcher: &IocMatcher) -> Vec<Token> {
     let mut cursor = 0usize;
     for span in spans {
         if span.start > cursor {
-            tokens.extend(tokenize_range(text, cursor, span.start));
+            tokenize_range(text, cursor, span.start, &mut tokens);
         }
         tokens.push(Token {
-            text: span.text.clone(),
+            text: span.text,
             start: span.start,
             end: span.end,
             kind: TokenKind::Ioc(span.kind),
@@ -155,7 +156,7 @@ pub fn tokenize_protected(text: &str, matcher: &IocMatcher) -> Vec<Token> {
         cursor = span.end;
     }
     if cursor < text.len() {
-        tokens.extend(tokenize_range(text, cursor, text.len()));
+        tokenize_range(text, cursor, text.len(), &mut tokens);
     }
     tokens
 }

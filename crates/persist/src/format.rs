@@ -91,13 +91,33 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-/// Encode one frame (header + payload), appending to `out`. The checkpoint
-/// write loop clears and reuses one buffer across a cycle's blobs, so the
-/// frame allocation is amortised to the largest blob of the cycle.
-pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
+/// The FNV-1a checksum of a frame payload. Every frame write and every
+/// frame read in this crate hashes its payload through here exactly once.
+pub(crate) fn checksum(payload: &[u8]) -> u64 {
+    let sum = fnv1a64(payload);
+    #[cfg(test)]
+    hash_tally::record(sum, payload.len());
+    sum
+}
+
+/// Encode one frame (header + payload), appending to `out`, and return the
+/// payload's checksum so callers that also record it (the manifest's
+/// [`crate::BlobEntry`]) need not hash the payload a second time. The
+/// checkpoint write loop clears and reuses one buffer across a cycle's
+/// blobs, so the frame allocation is amortised to the largest blob of the
+/// cycle.
+pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) -> u64 {
+    let sum = checksum(payload);
+    frame_into(payload, sum, out);
+    sum
+}
+
+/// Append the frame of a payload whose checksum `sum` is already known —
+/// compaction relocates frames it has just verified without re-hashing.
+pub(crate) fn frame_into(payload: &[u8], sum: u64, out: &mut Vec<u8>) {
     out.reserve(FRAME_HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&sum.to_le_bytes());
     out.extend_from_slice(payload);
 }
 
@@ -108,34 +128,71 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// Check a frame header against the bytes that follow it: `header` holds
+/// the first bytes at the frame's offset and `available` counts every byte
+/// from that offset to the end of the file. Returns the payload length and
+/// the header's checksum, or why no complete frame starts there.
+pub(crate) fn frame_header(header: &[u8], available: usize) -> Result<(usize, u64), String> {
+    if available < FRAME_HEADER || header.len() < FRAME_HEADER {
+        return Err(format!(
+            "short frame header: {available} of {FRAME_HEADER} bytes"
+        ));
+    }
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    if len > MAX_PAYLOAD {
+        return Err(format!("length prefix {len} exceeds MAX_PAYLOAD"));
+    }
+    if available < FRAME_HEADER + len {
+        return Err(format!(
+            "short payload: {} of {len} bytes",
+            available - FRAME_HEADER
+        ));
+    }
+    let sum = u64::from_le_bytes([
+        header[4], header[5], header[6], header[7], header[8], header[9], header[10], header[11],
+    ]);
+    Ok((len, sum))
+}
+
 /// Decode the frame starting at `offset`. Returns `(payload, next_offset)`
 /// or the reason the bytes do not form a complete, intact frame.
 pub fn decode_frame_at(bytes: &[u8], offset: usize) -> Result<(&[u8], usize), String> {
     let rest = bytes.get(offset..).unwrap_or_default();
-    if rest.len() < FRAME_HEADER {
-        return Err(format!(
-            "short frame header: {} of {FRAME_HEADER} bytes",
-            rest.len()
-        ));
-    }
-    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(format!("length prefix {len} exceeds MAX_PAYLOAD"));
-    }
-    if rest.len() < FRAME_HEADER + len {
-        return Err(format!(
-            "short payload: {} of {len} bytes",
-            rest.len() - FRAME_HEADER
-        ));
-    }
-    let checksum = u64::from_le_bytes([
-        rest[4], rest[5], rest[6], rest[7], rest[8], rest[9], rest[10], rest[11],
-    ]);
+    let (len, sum) = frame_header(rest, rest.len())?;
     let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-    if fnv1a64(payload) != checksum {
+    if checksum(payload) != sum {
         return Err("checksum mismatch".to_owned());
     }
     Ok((payload, offset + FRAME_HEADER + len))
+}
+
+/// Test-only tally of the bytes [`checksum`] hashed, keyed by the checksum
+/// it returned, so a test with payloads of its own can count how often
+/// each one was hashed while other tests hash theirs concurrently.
+#[cfg(test)]
+pub(crate) mod hash_tally {
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+
+    static BYTES: Mutex<Option<HashMap<u64, u64>>> = Mutex::new(None);
+
+    pub(crate) fn record(sum: u64, len: usize) {
+        let mut tally = BYTES.lock().unwrap_or_else(|e| e.into_inner());
+        *tally
+            .get_or_insert_with(HashMap::new)
+            .entry(sum)
+            .or_default() += len as u64;
+    }
+
+    /// Bytes hashed so far whose checksum came out as `sum`.
+    pub(crate) fn bytes(sum: u64) -> u64 {
+        let tally = BYTES.lock().unwrap_or_else(|e| e.into_inner());
+        tally
+            .as_ref()
+            .and_then(|t| t.get(&sum))
+            .copied()
+            .unwrap_or(0)
+    }
 }
 
 #[cfg(test)]

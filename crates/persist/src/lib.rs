@@ -31,9 +31,11 @@
 pub mod fault;
 pub mod format;
 pub mod manifest;
+pub mod par;
 pub mod store;
 
 pub use fault::{FaultHook, IoOp, Vfs};
 pub use format::{PersistError, DATA_MAGIC, FRAME_HEADER, MANIFEST_MAGIC, MAX_PAYLOAD};
 pub use manifest::{BlobEntry, CheckpointRecord, ManifestReplay};
+pub use par::par_map;
 pub use store::{RecoveryEvent, SegmentStore, StoreOptions, StoreStats};

@@ -263,7 +263,7 @@ impl SegmentStore {
             self.ensure_active()?;
             let active = self.active.as_mut().expect("active file exists");
             frame.clear();
-            format::encode_frame_into(payload, &mut frame);
+            let checksum = format::encode_frame_into(payload, &mut frame);
             let offset = active.len;
             let path = self.dir.join(&active.name);
             self.vfs.append(&mut active.file, &path, &frame)?;
@@ -275,7 +275,7 @@ impl SegmentStore {
                     file: active.name.clone(),
                     offset,
                     len: payload.len() as u32,
-                    checksum: kg_ir::fnv1a64(payload),
+                    checksum,
                 },
             );
         }
@@ -315,10 +315,10 @@ impl SegmentStore {
         mut f: impl FnMut(&CheckpointRecord, &BTreeMap<String, Vec<u8>>) -> Result<T, String>,
     ) -> Result<Option<T>, PersistError> {
         self.quarantine.clear();
-        let mut file_cache: HashMap<String, Option<Vec<u8>>> = HashMap::new();
+        let mut files = DataFiles::default();
         for idx in (0..self.records.len()).rev() {
             let record = &self.records[idx];
-            match load_checkpoint(&self.dir, record, &mut file_cache) {
+            match load_checkpoint(&self.dir, record, &mut files) {
                 Err(event) => self.quarantine.push(event),
                 Ok(blobs) => match f(record, &blobs) {
                     Ok(value) => {
@@ -406,7 +406,7 @@ impl SegmentStore {
 
         // 1. Copy live frames (deduplicated across records) into the new file.
         let mut relocated: HashMap<(String, u64), u64> = HashMap::new();
-        let mut file_cache: HashMap<String, Option<Vec<u8>>> = HashMap::new();
+        let mut files = DataFiles::default();
         let mut new_records = self.records.clone();
         let mut frame = Vec::new();
         for record in &mut new_records {
@@ -415,19 +415,20 @@ impl SegmentStore {
                 let new_offset = match relocated.get(&key) {
                     Some(&o) => o,
                     None => {
-                        let payload =
-                            read_frame(&self.dir, entry, &mut file_cache).map_err(|event| {
-                                // A corrupt live frame makes this checkpoint
-                                // unrecoverable either way; surface it rather
-                                // than silently dropping data.
-                                PersistError::CorruptFrame {
-                                    file: event.file,
-                                    offset: entry.offset,
-                                    reason: event.reason,
-                                }
-                            })?;
+                        let data = files.open(&self.dir, &entry.file);
+                        let payload = read_frame(data, entry).map_err(|event| {
+                            // A corrupt live frame makes this checkpoint
+                            // unrecoverable either way; surface it rather
+                            // than silently dropping data.
+                            PersistError::CorruptFrame {
+                                file: event.file,
+                                offset: entry.offset,
+                                reason: event.reason,
+                            }
+                        })?;
+                        // Verified against `entry.checksum`: reuse it.
                         frame.clear();
-                        format::encode_frame_into(&payload, &mut frame);
+                        format::frame_into(&payload, entry.checksum, &mut frame);
                         let offset = len;
                         self.vfs.append(&mut file, &path, &frame)?;
                         len += frame.len() as u64;
@@ -482,27 +483,70 @@ impl SegmentStore {
     }
 }
 
-/// Read and verify one referenced frame. Every failure is attributed.
-fn read_frame(
-    dir: &Path,
-    entry: &BlobEntry,
-    cache: &mut HashMap<String, Option<Vec<u8>>>,
-) -> Result<Vec<u8>, RecoveryEvent> {
+/// A referenced data file, opened once per recovery or compaction: its
+/// handle and length once its magic has checked out, else the reason every
+/// frame in it fails.
+type DataFile = Result<(File, u64), &'static str>;
+
+/// The data files one recovery or compaction has opened, by name.
+#[derive(Default)]
+struct DataFiles(HashMap<String, DataFile>);
+
+impl DataFiles {
+    /// `name`, opened and its magic checked on first use.
+    fn open(&mut self, dir: &Path, name: &str) -> &DataFile {
+        if !self.0.contains_key(name) {
+            self.0
+                .insert(name.to_owned(), open_data_file(&dir.join(name)));
+        }
+        &self.0[name]
+    }
+}
+
+fn open_data_file(path: &Path) -> DataFile {
+    let file = File::open(path).map_err(|_| "cannot read file")?;
+    let len = file.metadata().map_err(|_| "cannot read file")?.len();
+    if len < DATA_MAGIC.len() as u64 {
+        return Err("bad magic header");
+    }
+    let mut magic = [0u8; DATA_MAGIC.len()];
+    read_at(&file, &mut magic, 0).map_err(|_| "cannot read file")?;
+    if &magic != DATA_MAGIC {
+        return Err("bad magic header");
+    }
+    Ok((file, len))
+}
+
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.read_exact_at(buf, offset)
+}
+
+/// Read and verify one referenced frame: only its own bytes are read, at
+/// the manifest's offset, and its payload is hashed once and compared
+/// with the frame header (`checksum mismatch`), then with the manifest
+/// (`checksum differs from manifest`). Every failure is attributed.
+fn read_frame(data: &DataFile, entry: &BlobEntry) -> Result<Vec<u8>, RecoveryEvent> {
     let fail = |reason: String| RecoveryEvent {
         checkpoint_seq: 0, // stamped by the caller
         file: entry.file.clone(),
         logical: Some(entry.logical.clone()),
         reason,
     };
-    let bytes = cache
-        .entry(entry.file.clone())
-        .or_insert_with(|| std::fs::read(dir.join(&entry.file)).ok())
-        .as_ref()
-        .ok_or_else(|| fail("cannot read file".into()))?;
-    if bytes.len() < DATA_MAGIC.len() || &bytes[..DATA_MAGIC.len()] != DATA_MAGIC {
-        return Err(fail("bad magic header".into()));
+    let unreadable = |_| fail("cannot read file".into());
+    let (file, file_len) = data.as_ref().map_err(|reason| fail((*reason).into()))?;
+    let available = usize::try_from(file_len.saturating_sub(entry.offset)).unwrap_or(usize::MAX);
+    let mut header = [0u8; FRAME_HEADER];
+    if available >= FRAME_HEADER {
+        read_at(file, &mut header, entry.offset).map_err(unreadable)?;
     }
-    let (payload, _) = format::decode_frame_at(bytes, entry.offset as usize).map_err(&fail)?;
+    let (len, sum) = format::frame_header(&header, available).map_err(&fail)?;
+    let mut payload = vec![0u8; len];
+    read_at(file, &mut payload, entry.offset + FRAME_HEADER as u64).map_err(unreadable)?;
+    let actual = format::checksum(&payload);
+    if actual != sum {
+        return Err(fail("checksum mismatch".into()));
+    }
     if payload.len() != entry.len as usize {
         return Err(fail(format!(
             "length mismatch: frame {} vs manifest {}",
@@ -510,21 +554,31 @@ fn read_frame(
             entry.len
         )));
     }
-    if kg_ir::fnv1a64(payload) != entry.checksum {
+    if actual != entry.checksum {
         return Err(fail("checksum differs from manifest".into()));
     }
-    Ok(payload.to_vec())
+    Ok(payload)
 }
 
-/// Load every blob of one checkpoint, verified.
+/// Load every blob of one checkpoint, verified: each referenced file is
+/// opened once, then the frames are read and checked across cores. The
+/// first failing entry in record order is the one attributed, as a serial
+/// walk would report it.
 fn load_checkpoint(
     dir: &Path,
     record: &CheckpointRecord,
-    cache: &mut HashMap<String, Option<Vec<u8>>>,
+    files: &mut DataFiles,
 ) -> Result<BTreeMap<String, Vec<u8>>, RecoveryEvent> {
-    let mut blobs = BTreeMap::new();
     for entry in &record.entries {
-        let payload = read_frame(dir, entry, cache).map_err(|mut event| {
+        files.open(dir, &entry.file);
+    }
+    let files = &files.0;
+    let payloads = crate::par_map(&record.entries, |entry| {
+        read_frame(&files[&entry.file], entry)
+    });
+    let mut blobs = BTreeMap::new();
+    for (entry, payload) in record.entries.iter().zip(payloads) {
+        let payload = payload.map_err(|mut event| {
             event.checkpoint_seq = record.seq;
             event
         })?;
@@ -843,6 +897,209 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
         let _ = std::fs::remove_dir_all(&count_dir);
+    }
+
+    /// The reference verification: read the whole file and decode the
+    /// frame out of it, checking magic, frame, length and manifest
+    /// checksum in that order.
+    fn whole_file_read(dir: &Path, entry: &BlobEntry) -> Result<Vec<u8>, String> {
+        let bytes = std::fs::read(dir.join(&entry.file)).map_err(|_| "cannot read file")?;
+        if bytes.len() < DATA_MAGIC.len() || &bytes[..DATA_MAGIC.len()] != DATA_MAGIC {
+            return Err("bad magic header".into());
+        }
+        let (payload, _) = format::decode_frame_at(&bytes, entry.offset as usize)?;
+        if payload.len() != entry.len as usize {
+            return Err(format!(
+                "length mismatch: frame {} vs manifest {}",
+                payload.len(),
+                entry.len
+            ));
+        }
+        if kg_ir::fnv1a64(payload) != entry.checksum {
+            return Err("checksum differs from manifest".into());
+        }
+        Ok(payload.to_vec())
+    }
+
+    fn positional_read(dir: &Path, entry: &BlobEntry) -> Result<Vec<u8>, String> {
+        read_frame(&open_data_file(&dir.join(&entry.file)), entry).map_err(|e| e.reason)
+    }
+
+    /// A store of two checkpoints whose blobs no other test writes.
+    fn attribution_store(name: &str) -> (PathBuf, Vec<BlobEntry>) {
+        let dir = tmp(name);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+        let tag = format!("{name}-{}", std::process::id());
+        store
+            .checkpoint(1, 10, 1, vec![blob(&tag, 1), blob("b", 7)])
+            .unwrap();
+        store.checkpoint(2, 20, 2, vec![blob(&tag, 2)]).unwrap();
+        let entries = store.checkpoints().last().unwrap().entries.clone();
+        (dir, entries)
+    }
+
+    /// The reasons recovery quarantines with, newest checkpoint first.
+    fn reasons(store: &mut SegmentStore) -> Vec<String> {
+        recover_all(store);
+        store
+            .quarantine_log()
+            .iter()
+            .map(|e| e.reason.clone())
+            .collect()
+    }
+
+    #[test]
+    fn positional_reads_attribute_every_flip_and_cut_like_whole_file_reads() {
+        let (dir, entries) = attribution_store("attr-diff");
+        let path = dir.join(&entries[0].file);
+        let pristine = std::fs::read(&path).unwrap();
+        let check = |what: &str| {
+            for entry in &entries {
+                assert_eq!(
+                    positional_read(&dir, entry),
+                    whole_file_read(&dir, entry),
+                    "{what}, blob {}",
+                    entry.logical
+                );
+            }
+        };
+        for offset in 0..pristine.len() {
+            let mut bytes = pristine.clone();
+            bytes[offset] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            check(&format!("flip at {offset}"));
+        }
+        for len in 0..pristine.len() {
+            std::fs::write(&path, &pristine[..len]).unwrap();
+            check(&format!("cut to {len}"));
+        }
+        std::fs::remove_file(&path).unwrap();
+        check("missing file");
+        // Offsets past the end and on no frame boundary.
+        std::fs::write(&path, &pristine).unwrap();
+        for shift in [1u64, 5, 4096] {
+            for entry in &entries {
+                let moved = BlobEntry {
+                    offset: entry.offset + shift,
+                    ..entry.clone()
+                };
+                assert_eq!(positional_read(&dir, &moved), whole_file_read(&dir, &moved));
+            }
+        }
+        let past = BlobEntry {
+            offset: pristine.len() as u64 + 9,
+            ..entries[0].clone()
+        };
+        assert_eq!(
+            positional_read(&dir, &past).unwrap_err(),
+            "short frame header: 0 of 12 bytes"
+        );
+    }
+
+    #[test]
+    fn corrupt_frames_keep_their_attributed_reasons() {
+        let (dir, entries) = attribution_store("attr-reasons");
+        let newest = &entries[0];
+        let path = dir.join(&newest.file);
+        let pristine = std::fs::read(&path).unwrap();
+        let payload_at = newest.offset as usize + FRAME_HEADER;
+        let mutate = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = pristine.clone();
+            f(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+            reasons(&mut store)
+        };
+        // A flipped payload byte, or a flipped header checksum byte: the
+        // frame disagrees with itself.
+        assert_eq!(mutate(&|b| b[payload_at] ^= 0x40), ["checksum mismatch"]);
+        assert_eq!(
+            mutate(&|b| b[newest.offset as usize + 4] ^= 0x01),
+            ["checksum mismatch"]
+        );
+        // A torn file: the newest frame lost its last byte, or its header.
+        assert_eq!(
+            mutate(&|b| b.truncate(payload_at + newest.len as usize - 1)),
+            [format!(
+                "short payload: {} of {} bytes",
+                newest.len - 1,
+                newest.len
+            )]
+        );
+        assert_eq!(
+            mutate(&|b| b.truncate(newest.offset as usize + 5)),
+            ["short frame header: 5 of 12 bytes"]
+        );
+        // A bad magic fails every checkpoint in the file.
+        assert_eq!(
+            mutate(&|b| b[0] ^= 0xFF),
+            ["bad magic header", "bad magic header"]
+        );
+        std::fs::write(&path, &pristine).unwrap();
+
+        // An intact frame whose manifest entry disagrees with it.
+        let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+        let last = store.records.len() - 1;
+        store.records[last].entries[0].checksum ^= 1;
+        assert_eq!(reasons(&mut store), ["checksum differs from manifest"]);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+        let last = store.records.len() - 1;
+        store.records[last].entries[0].offset = pristine.len() as u64 + 100;
+        assert_eq!(reasons(&mut store), ["short frame header: 0 of 12 bytes"]);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+        let last = store.records.len() - 1;
+        store.records[last].entries[0].len += 1;
+        assert_eq!(
+            reasons(&mut store),
+            [format!(
+                "length mismatch: frame {} vs manifest {}",
+                newest.len,
+                newest.len + 1
+            )]
+        );
+
+        // A missing file fails every checkpoint that references it.
+        std::fs::remove_file(&path).unwrap();
+        let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(
+            reasons(&mut store),
+            ["cannot read file", "cannot read file"]
+        );
+    }
+
+    #[test]
+    fn checkpoint_and_recovery_each_hash_a_blob_once() {
+        let dir = tmp("hash-once");
+        let tag = format!("hash-once-{}-{:?}", std::process::id(), dir);
+        let blobs: Vec<(String, Vec<u8>)> = (0..5)
+            .map(|i| {
+                (
+                    format!("b{i}"),
+                    format!("{tag}-payload-{i}").repeat(i + 1).into_bytes(),
+                )
+            })
+            .collect();
+        let sums: Vec<(u64, u64)> = blobs
+            .iter()
+            .map(|(_, p)| (kg_ir::fnv1a64(p), p.len() as u64))
+            .collect();
+        let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+        store.checkpoint(1, 1, 1, blobs).unwrap();
+        for &(sum, len) in &sums {
+            assert_eq!(format::hash_tally::bytes(sum), len, "checkpoint");
+        }
+        drop(store);
+        let mut store = SegmentStore::open(&dir, StoreOptions::default()).unwrap();
+        let (seq, _) = recover_all(&mut store).unwrap();
+        assert_eq!(seq, 1);
+        for &(sum, len) in &sums {
+            assert_eq!(format::hash_tally::bytes(sum), 2 * len, "recovery");
+        }
+        // Compaction verifies each live frame once and relocates it as is.
+        store.compact().unwrap();
+        for &(sum, len) in &sums {
+            assert_eq!(format::hash_tally::bytes(sum), 3 * len, "compaction");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use kg_nlp::{tokenize_protected, IocMatcher};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Term shards the index splits into for incremental persistence: a term
 /// belongs to shard `fnv1a64(term) % PERSIST_SHARDS`, and a checkpoint
@@ -72,19 +72,15 @@ pub struct CorpusStats {
     pub docs: u64,
     /// Total tokens across all partitions.
     pub total_tokens: u64,
-    /// Document frequency per *query* term (not the whole vocabulary).
-    pub doc_freq: HashMap<String, u64>,
+    /// Document frequency of each *query* term (not the whole vocabulary),
+    /// by the term's position in the query's term list.
+    pub doc_freq: Vec<u64>,
 }
 
-impl CorpusStats {
-    /// Fold another partition's contribution in (all fields sum).
-    pub fn merge(&mut self, other: &CorpusStats) {
-        self.docs += other.docs;
-        self.total_tokens += other.total_tokens;
-        for (term, df) in &other.doc_freq {
-            *self.doc_freq.entry(term.clone()).or_insert(0) += df;
-        }
-    }
+/// The IOC matcher query tokenization uses, built once per process.
+fn standard_matcher() -> &'static IocMatcher {
+    static MATCHER: OnceLock<IocMatcher> = OnceLock::new();
+    MATCHER.get_or_init(IocMatcher::standard)
 }
 
 /// An inverted index over documents identified by an arbitrary key type
@@ -149,7 +145,7 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
 
     /// Tokenize text into lowercase index terms (IOC-protected).
     pub fn terms(text: &str) -> Vec<String> {
-        Self::terms_with(&IocMatcher::standard(), text)
+        Self::terms_with(standard_matcher(), text)
     }
 
     /// [`SearchIndex::terms`] with a caller-supplied matcher, so hot loops
@@ -159,7 +155,17 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
         tokenize_protected(text, matcher)
             .into_iter()
             .filter(|t| t.kind != kg_nlp::TokenKind::Punct)
-            .map(|t| t.text.to_lowercase())
+            .map(|t| {
+                // ASCII lowercases in place; anything else needs Unicode
+                // case mapping, which may change the byte length.
+                let mut text = t.text;
+                if text.is_ascii() {
+                    text.make_ascii_lowercase();
+                    text
+                } else {
+                    text.to_lowercase()
+                }
+            })
             .collect()
     }
 
@@ -232,27 +238,34 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
     /// The one BM25 kernel: score every document posting any of `terms`
     /// (accumulating in `terms` order, duplicates included) against a
     /// corpus of `docs` documents and `total_tokens` tokens, with each
-    /// term's document frequency from `doc_freq(postings, term)`; top `k`
-    /// by score descending, ties by ascending slot.
+    /// term's document frequency from `doc_freq(postings, position of the
+    /// term in terms)`; top `k` by score descending, ties by ascending slot.
     fn rank(
         &self,
         terms: &[String],
         k: usize,
         docs: u64,
         total_tokens: u64,
-        doc_freq: impl Fn(&[Posting], &str) -> u64,
+        doc_freq: impl Fn(&[Posting], usize) -> u64,
     ) -> Vec<Hit<D>> {
         if self.docs.is_empty() || docs == 0 {
             return Vec::new();
         }
         let n = docs as f64;
         let avg_len = total_tokens as f64 / n;
-        let mut scores: HashMap<u32, f64> = HashMap::new();
-        for term in terms {
+        // Sized once for every posting the terms could add, so the score
+        // table never regrows.
+        let postings_total: usize = terms
+            .iter()
+            .filter_map(|term| self.postings.get(term))
+            .map(|postings| postings.len())
+            .sum();
+        let mut scores: HashMap<u32, f64> = HashMap::with_capacity(postings_total);
+        for (i, term) in terms.iter().enumerate() {
             let Some(postings) = self.postings.get(term) else {
                 continue;
             };
-            let df = doc_freq(postings, term) as f64;
+            let df = doc_freq(postings, i) as f64;
             let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
             for p in postings.iter() {
                 let doc_len = self.docs[p.doc as usize].1 as f64;
@@ -280,20 +293,16 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
 
     // ---- sharded scatter-gather support ------------------------------------
 
-    /// This index's contribution to [`CorpusStats`] for `terms`: local doc
-    /// count, token total and per-term document frequencies. Summing the
-    /// contributions of disjoint partitions yields the global statistics.
-    pub fn corpus_stats_for(&self, terms: &[String]) -> CorpusStats {
-        let mut doc_freq = HashMap::new();
-        for term in terms {
-            doc_freq
-                .entry(term.clone())
-                .or_insert_with(|| self.postings.get(term).map_or(0, |p| p.len() as u64));
-        }
-        CorpusStats {
-            docs: self.docs.len() as u64,
-            total_tokens: self.total_tokens,
-            doc_freq,
+    /// Add this index's contribution to [`CorpusStats`] for `terms` — local
+    /// doc count, token total and per-term document frequencies — into
+    /// `stats` (every field sums). Adding the contributions of disjoint
+    /// partitions yields the global statistics; no term is copied.
+    pub fn add_corpus_stats(&self, terms: &[String], stats: &mut CorpusStats) {
+        stats.docs += self.docs.len() as u64;
+        stats.total_tokens += self.total_tokens;
+        stats.doc_freq.resize(terms.len(), 0);
+        for (df, term) in stats.doc_freq.iter_mut().zip(terms) {
+            *df += self.postings.get(term).map_or(0, |p| p.len() as u64);
         }
     }
 
@@ -369,8 +378,8 @@ impl<D: Clone + PartialEq> SearchIndex<D> {
         k: usize,
         stats: &CorpusStats,
     ) -> Vec<Hit<D>> {
-        self.rank(terms, k, stats.docs, stats.total_tokens, |_, term| {
-            stats.doc_freq.get(term).copied().unwrap_or(0)
+        self.rank(terms, k, stats.docs, stats.total_tokens, |_, i| {
+            stats.doc_freq.get(i).copied().unwrap_or(0)
         })
     }
 
@@ -700,7 +709,8 @@ mod tests {
         // stats-injected path must reproduce that exactly.
         let query = "wannacry smb exploitation wannacry";
         let terms = SearchIndex::<u32>::terms(query);
-        let stats = idx.corpus_stats_for(&terms);
+        let mut stats = CorpusStats::default();
+        idx.add_corpus_stats(&terms, &mut stats);
         let a = idx.search(query, 10);
         let b = idx.search_terms_with_stats(&terms, 10, &stats);
         assert_eq!(a.len(), b.len());
@@ -721,7 +731,7 @@ mod tests {
         idx.route_appended(0, |key| *key as usize % 2, &mut part_refs(&mut parts));
         let mut stats = CorpusStats::default();
         for p in &parts {
-            stats.merge(&p.corpus_stats_for(&terms));
+            p.add_corpus_stats(&terms, &mut stats);
         }
         let global = idx.search(query, 10);
         let mut merged: Vec<Hit<(u32, u32)>> = parts
@@ -890,7 +900,7 @@ mod tests {
                     let terms: Vec<String> = query.split(' ').map(str::to_owned).collect();
                     let mut stats = CorpusStats::default();
                     for part in &got {
-                        stats.merge(&part.corpus_stats_for(&terms));
+                        part.add_corpus_stats(&terms, &mut stats);
                     }
                     for (a, b) in got.iter().zip(&expected) {
                         let x = a.search_terms_with_stats(&terms, 10, &stats);

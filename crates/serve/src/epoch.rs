@@ -31,6 +31,15 @@
 //! edges to the new slice; nothing else ever moves. At N = 1 everything is
 //! slice 0 and no canon key is hashed.
 //!
+//! Seeding ([`EpochBuilder::new`], `ShardSet::new`) is the builder's one
+//! O(graph) moment: it routes every element and takes its digest term. A
+//! graph recovery reassembled ([`kg_graph::GraphStore::from_hashed_segments`])
+//! carries the terms its decode workers hashed, so seeding a restarted
+//! server reads them ([`kg_graph::GraphStore::node_terms`]) instead of
+//! writing each element's JSON again. Any element mutation drops the
+//! carried terms, so a builder seeded after one hashes what it needs and
+//! never reads a stale term; clones taken earlier keep theirs.
+//!
 //! The builder does not re-apply `GraphDelta`s itself — apply is not
 //! delta-pure (canon commit re-resolves against the live table), so the
 //! builder instead *observes* the writer's graph through the store's delta
@@ -114,9 +123,12 @@ impl EpochBuilder {
     }
 
     /// Seed a builder split into `shards` owner slices with one scan: each
-    /// element's owner and digest term are computed once. Registering the
-    /// cursor positions it after any changes the store had already tracked,
-    /// so they are skipped (the scan sees them).
+    /// element's owner is computed once, and its digest term is read from
+    /// the graph ([`GraphStore::node_terms`]) — the term recovery hashed
+    /// when the store was reassembled and has not changed since, else
+    /// hashed here. Registering the cursor positions it after any changes
+    /// the store had already tracked, so they are skipped (the scan sees
+    /// them).
     pub(crate) fn sharded(graph: &mut GraphStore, shards: usize) -> Self {
         let mut builder = EpochBuilder {
             slices: (0..shards.max(1)).map(|_| Slice::default()).collect(),
@@ -130,23 +142,23 @@ impl EpochBuilder {
             0
         };
         let mut owner_of_slot = vec![0usize; slots];
-        for node in graph.all_nodes() {
+        for (node, term) in graph.node_terms() {
             let shard = builder.route(node);
             if let Some(owner) = owner_of_slot.get_mut(node.id.0 as usize) {
                 *owner = shard;
             }
             let slice = &mut builder.slices[shard];
-            slice.add_node(node.id, node_digest(node));
+            slice.add_node(node.id, term);
             slice
                 .adjacency
                 .insert(node.id, Arc::new(graph.neighbors(node.id)));
         }
-        for edge in graph.all_edges() {
+        for (edge, term) in graph.edge_terms() {
             let shard = owner_of_slot
                 .get(edge.from.0 as usize)
                 .copied()
                 .unwrap_or(0);
-            builder.slices[shard].add_edge(edge.id, edge_digest(edge));
+            builder.slices[shard].add_edge(edge.id, term);
         }
         builder
     }
@@ -275,7 +287,7 @@ impl EpochBuilder {
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotMode;
-    use kg_graph::Value;
+    use kg_graph::{SegmentTerms, Value};
 
     /// A history the slices must see through: tombstoned slots, cascaded
     /// edges, renames (owner migration, outgoing edges included) and
@@ -355,6 +367,133 @@ mod tests {
             }
             assert_eq!(seeded.digest(), graph.digest());
         }
+    }
+
+    /// What recovery hands the serving layer: `graph` cut into its arena
+    /// segments, each hashed as a decode worker hashes it, and reassembled.
+    fn recovered(graph: &GraphStore) -> GraphStore {
+        let nodes = (0..graph.node_segment_count())
+            .map(|i| {
+                let slots = graph.node_segment_slots(i).unwrap().to_vec();
+                let terms = SegmentTerms::of_nodes(&slots);
+                (slots, terms)
+            })
+            .collect();
+        let edges = (0..graph.edge_segment_count())
+            .map(|i| {
+                let slots = graph.edge_segment_slots(i).unwrap().to_vec();
+                let terms = SegmentTerms::of_edges(&slots);
+                (slots, terms)
+            })
+            .collect();
+        GraphStore::from_hashed_segments(nodes, edges).unwrap()
+    }
+
+    /// The digest hashed term by term from the live elements.
+    fn rehashed_digest(graph: &GraphStore) -> u64 {
+        let nodes = graph.all_nodes().map(node_digest);
+        let edges = graph.all_edges().map(edge_digest);
+        nodes
+            .chain(edges)
+            .fold(DIGEST_SEED, |digest, term| digest.wrapping_add(term))
+    }
+
+    /// Element terms seeding a builder from `graph` hashes: none while
+    /// `graph` carries the terms it was reassembled with.
+    fn seeding_hashes(graph: &GraphStore) -> u64 {
+        let before = kg_graph::terms_hashed_on_this_thread();
+        EpochBuilder::new(&mut graph.clone());
+        kg_graph::terms_hashed_on_this_thread() - before
+    }
+
+    /// Every seeding of `graph` — `EpochBuilder::new`, the builder
+    /// `ShardSet::new` seeds at N = 1–4, and the shard snapshots it
+    /// freezes — equals the fresh per-shard scan, and the graph's digest
+    /// equals the term-by-term recomputation.
+    fn assert_seeds_like_a_fresh_scan(graph: &GraphStore, what: &str) {
+        assert_eq!(graph.digest(), rehashed_digest(graph), "{what}");
+        let mut graph = graph.clone();
+        let unsharded = EpochBuilder::new(&mut graph);
+        assert_eq!(unsharded.slice(0), &reference_slice(&graph, 0, 1), "{what}");
+        let search: SearchIndex<NodeId> = SearchIndex::default();
+        for shards in 1..=4 {
+            let seeded = EpochBuilder::sharded(&mut graph, shards);
+            let frozen =
+                crate::ShardSet::new(&mut graph, &search, shards).freeze_all(&mut graph, &search);
+            for (shard, snapshot) in frozen.iter().enumerate() {
+                let want = reference_slice(&graph, shard, shards);
+                assert_eq!(seeded.slice(shard), &want, "{what}, {shards} shards");
+                assert_eq!(snapshot.partial_digest(), want.partial, "{what}");
+                assert_eq!(snapshot.owned_count(), want.adjacency.len(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn recovered_terms_are_dropped_by_every_mutation_and_never_read_stale() {
+        let mut source = GraphStore::new();
+        history(&mut source, |_| {});
+        let tool = source.node_by_name("Tool", "tool1").unwrap();
+        let technique = source
+            .node_by_name("Technique", "smb exploitation")
+            .unwrap();
+        let edge = source.outgoing_iter(tool).next().unwrap().id;
+        type Mutation = fn(&mut GraphStore, NodeId, NodeId, EdgeId);
+        let mutations: [(&str, Mutation); 10] = [
+            ("create_node", |g, _, _, _| {
+                g.create_node("Tool", [("name", Value::from("fresh"))]);
+            }),
+            ("merge_node, new", |g, _, _, _| {
+                g.merge_node("Tool", "fresh", [] as [(&str, Value); 0]);
+            }),
+            ("merge_node, new property", |g, _, _, _| {
+                g.merge_node("Technique", "smb exploitation", [("tactic", "lateral")]);
+            }),
+            ("node_mut", |g, n, _, _| {
+                g.node_mut(n)
+                    .unwrap()
+                    .props
+                    .insert("score".into(), Value::Int(9));
+            }),
+            ("set_node_prop", |g, n, _, _| {
+                g.set_node_prop(n, "name", Value::from("renamed")).unwrap();
+            }),
+            ("delete_node", |g, n, _, _| g.delete_node(n).unwrap()),
+            ("create_edge", |g, n, t, _| {
+                g.create_edge(n, "USES", t, [("weight", Value::Int(2))])
+                    .unwrap();
+            }),
+            ("merge_edge, new", |g, n, t, _| {
+                g.merge_edge(t, "TARGETS", n).unwrap();
+            }),
+            ("edge_mut", |g, _, _, e| {
+                g.edge_mut(e)
+                    .unwrap()
+                    .props
+                    .insert("weight".into(), Value::Int(5));
+            }),
+            ("delete_edge", |g, _, _, e| g.delete_edge(e).unwrap()),
+        ];
+        for (what, mutate) in mutations {
+            let before = recovered(&source);
+            assert_eq!(seeding_hashes(&before), 0);
+            assert_seeds_like_a_fresh_scan(&before, what);
+            let mut after = before.clone();
+            mutate(&mut after, tool, technique, edge);
+            assert!(seeding_hashes(&after) > 0, "{what} kept the terms");
+            assert_ne!(after.digest(), before.digest(), "{what} changed nothing");
+            assert_seeds_like_a_fresh_scan(&after, what);
+            // The clone taken before the mutation keeps its valid terms.
+            assert_eq!(seeding_hashes(&before), 0, "{what}");
+            assert_seeds_like_a_fresh_scan(&before, what);
+        }
+        // Calls that change no element keep the terms.
+        let mut graph = recovered(&source);
+        graph.merge_node("Technique", "smb exploitation", [] as [(&str, Value); 0]);
+        graph.merge_edge(tool, "RELATED", technique).unwrap();
+        graph.seal_changes();
+        assert_eq!(seeding_hashes(&graph), 0);
+        assert_seeds_like_a_fresh_scan(&graph, "no-op merges");
     }
 
     fn assert_equivalent(snap: &KgSnapshot, oracle: &KgSnapshot) {

@@ -68,7 +68,12 @@ pub fn keyword_search(
     let named = kg_ontology::EntityKind::ALL
         .iter()
         .filter_map(|kind| by_name(kind.label(), &lowered));
-    let mut out = Vec::new();
+    let bm25 = bm25.into_iter();
+    // Room for every candidate the answer can keep, allocated once.
+    let room = k
+        .max(1)
+        .min(kg_ontology::EntityKind::ALL.len() + bm25.size_hint().0);
+    let mut out = Vec::with_capacity(room);
     for id in named.chain(bm25) {
         if !out.contains(&id) {
             out.push(id);
@@ -156,15 +161,19 @@ impl ReadView for [Arc<ShardSnapshot>] {
         let terms = SearchIndex::<NodeId>::terms(query);
         let mut stats = CorpusStats::default();
         for pin in self {
-            stats.merge(&pin.search_partition().corpus_stats_for(&terms));
+            pin.search_partition().add_corpus_stats(&terms, &mut stats);
         }
-        let mut merged: Vec<Hit<ShardDoc>> = self
-            .iter()
-            .flat_map(|pin| {
-                pin.search_partition()
-                    .search_terms_with_stats(&terms, k, &stats)
-            })
-            .collect();
+        let mut merged: Vec<Hit<ShardDoc>> = Vec::new();
+        for pin in self {
+            let hits = pin
+                .search_partition()
+                .search_terms_with_stats(&terms, k, &stats);
+            if merged.is_empty() {
+                merged = hits;
+            } else {
+                merged.extend(hits);
+            }
+        }
         merged.sort_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)

@@ -59,10 +59,10 @@ fn allocs() -> u64 {
 }
 
 /// The pool's shapes, in pool order, with each one's ceiling on the mean
-/// allocations per query: the measured mean (50.8, 53.3, 50.7, 64.6, 58.6
+/// allocations per query: the measured mean (13.2, 53.3, 50.7, 64.6, 58.6
 /// and 18.0) plus about 15%.
 const SHAPES: [(&str, f64); 6] = [
-    ("search", 58.0),
+    ("search", 15.0),
     ("cypher where-name", 61.0),
     ("cypher out-edges", 58.0),
     ("cypher in-edges", 74.0),
